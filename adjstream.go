@@ -216,27 +216,15 @@ func ReadArbitraryStream(r io.Reader) (*ArbitraryStream, error) {
 	return s, nil
 }
 
-// Driver selects how parallel median copies are executed over the stream.
+// Driver names the execution driver of parallel median copies. The only
+// driver is DriverBroadcast; the empty Driver selects it too.
 type Driver string
 
-// The available execution drivers for Parallel runs.
-const (
-	// DriverBroadcast shares one read of the stream per pass among all
-	// copies (the default): O(passes · 2m) stream-item reads regardless of
-	// the copy count. Copies pull the stream's immutable chunks directly —
-	// no producer goroutine, no channel sends — in small windows that
-	// interleave independent copies' work.
-	DriverBroadcast Driver = "broadcast"
-	// DriverPushBroadcast is the legacy push-based broadcast: a producer
-	// goroutine fans batches out to per-copy channels. Same O(passes · 2m)
-	// reads and bit-identical results; kept for A/B benchmarking against
-	// DriverBroadcast's pull executor.
-	DriverPushBroadcast Driver = "push-broadcast"
-	// DriverReplay replays the full stream once per copy per pass (the
-	// pre-broadcast behavior, kept for A/B benchmarking):
-	// O(copies · passes · 2m) stream-item reads.
-	DriverReplay Driver = "replay"
-)
+// DriverBroadcast shares one read of the stream per pass among all copies:
+// O(passes · 2m) stream-item reads regardless of the copy count. Workers
+// walk the stream's immutable chunks directly for their shard of copies —
+// no producer goroutine, no channel sends.
+const DriverBroadcast Driver = "broadcast"
 
 // Model selects the streaming model an estimator runs in. The paper's
 // central question is what the adjacency-list promise buys over arbitrary
@@ -370,10 +358,9 @@ type Options struct {
 	// Parallel runs median copies concurrently (bounded by GOMAXPROCS).
 	// Results are identical to the sequential run; only wall time changes.
 	Parallel bool
-	// Driver selects the parallel execution driver: DriverBroadcast
-	// (default — one stream read per pass shared by all copies) or
-	// DriverReplay (one stream read per copy per pass). Only meaningful
-	// with Parallel and more than one copy.
+	// Driver must be empty or DriverBroadcast, the one parallel execution
+	// driver (one stream read per pass shared by all copies). Only
+	// meaningful with Parallel and more than one copy.
 	Driver Driver
 	// Seed drives all randomness deterministically.
 	Seed uint64
@@ -393,11 +380,10 @@ type Result struct {
 	// Copies is the number of independent copies actually run.
 	Copies int
 	// Driver is the execution driver that produced this result
-	// (DriverBroadcast or DriverReplay for parallel runs, "" for
-	// sequential ones).
+	// (DriverBroadcast for parallel runs, "" for sequential ones).
 	Driver Driver
 	// DriverStats holds the stream-traversal counters of a parallel
-	// broadcast run (zero value for replay and sequential runs).
+	// broadcast run (zero value for sequential runs).
 	DriverStats DriverStats
 }
 
@@ -553,7 +539,7 @@ func NewEstimator(opts Options) (Estimator, error) {
 func RunStream(s *Stream, e Estimator) { stream.Run(s, e) }
 
 // RunStreamContext is RunStream with cooperative cancellation: the pass loop
-// polls ctx at block boundaries and, once ctx fires, abandons the run and
+// polls ctx at chunk boundaries and, once ctx fires, abandons the run and
 // returns an error wrapping ErrCanceled (and the context's own error). e's
 // state is unspecified after a cancelled run. With a context that never
 // fires, the delivered callback sequence is exactly that of RunStream.
@@ -630,7 +616,7 @@ func LocalEstimate(s *Stream, p float64, seed uint64) (map[V]float64, Result, er
 // LocalEstimateContext runs the local triangle estimator under ctx through
 // the same copies/driver path as EstimateContext: Copies/Confidence select
 // k independent copies (per-copy seeds on the standard schedule), Parallel
-// and Driver choose how they traverse the stream, the returned map is the
+// chooses how they traverse the stream, the returned map is the
 // per-vertex median across copies (a vertex untouched by a copy counts as
 // 0 there), Result.Estimate is the median of the copies' global estimates,
 // and Result.SpaceWords their summed peaks. The algorithm is fixed, so
@@ -667,22 +653,10 @@ func LocalEstimateContext(ctx context.Context, s *Stream, p float64, opts Option
 	var driver Driver
 	if opts.Parallel && c > 1 {
 		var err error
-		switch opts.Driver {
-		case DriverReplay:
-			driver = DriverReplay
-			if err = stream.RunParallelContext(ctx, s, ests); err == nil {
-				st = stream.ReplayStats(s, ests)
-			}
-		case DriverPushBroadcast:
-			driver = DriverPushBroadcast
-			st, err = stream.RunBroadcastConfigContext(ctx, s, ests, stream.BroadcastConfig{Push: true})
-		default: // DriverBroadcast or ""
-			driver = DriverBroadcast
-			st, err = stream.RunBroadcastContext(ctx, s, ests)
-		}
-		if err != nil {
+		if st, err = stream.RunBroadcastContext(ctx, s, ests); err != nil {
 			return nil, Result{}, canceled(err)
 		}
+		driver = DriverBroadcast
 	} else {
 		for _, e := range ests {
 			if err := stream.RunContext(ctx, s, e); err != nil {
@@ -734,8 +708,8 @@ func Estimate(s *Stream, opts Options) (Result, error) {
 
 // EstimateContext builds the estimator for opts, runs it over s under ctx,
 // and reports the result. When ctx fires — cancellation, deadline expiry,
-// or client disconnect upstream — the pass loop stops at the next batch/
-// block boundary, all driver goroutines exit, and the call returns an error
+// or client disconnect upstream — the pass loop stops at the next chunk
+// boundary, all driver goroutines exit, and the call returns an error
 // wrapping ErrCanceled plus the context's own error. With a context that
 // never fires, the result is bit-identical to Estimate's for every
 // algorithm and driver. Option errors wrap ErrUnknownAlgorithm or
@@ -760,22 +734,7 @@ func EstimateContext(ctx context.Context, s *Stream, opts Options) (Result, erro
 		if err != nil {
 			return Result{}, err
 		}
-		var est float64
-		var sp int64
-		var st DriverStats
-		driver := opts.Driver
-		switch driver {
-		case DriverReplay:
-			est, sp, err = stream.MedianReplayContext(ctx, s, copies)
-			if err == nil {
-				st = stream.ReplayStats(s, copies)
-			}
-		case DriverPushBroadcast:
-			est, sp, st, err = stream.MedianBroadcastConfigContext(ctx, s, copies, stream.BroadcastConfig{Push: true})
-		default: // DriverBroadcast or "" (Validate rejected everything else)
-			driver = DriverBroadcast
-			est, sp, st, err = stream.MedianBroadcastContext(ctx, s, copies)
-		}
+		est, sp, st, err := stream.MedianBroadcastContext(ctx, s, copies)
 		if err != nil {
 			return Result{}, canceled(err)
 		}
@@ -785,7 +744,7 @@ func EstimateContext(ctx context.Context, s *Stream, opts Options) (Result, erro
 			Passes:      copies[0].Passes(),
 			M:           s.M(),
 			Copies:      c,
-			Driver:      driver,
+			Driver:      DriverBroadcast,
 			DriverStats: st,
 		}, nil
 	}

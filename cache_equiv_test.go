@@ -1,8 +1,9 @@
 // Cache equivalence tests for the serve-layer result cache. The contract:
 // a cached response is byte-for-byte identical to the fresh response that
-// populated it, for every algorithm under every driver shape (sequential,
-// broadcast, replay) — the cache stores answers, it never re-derives them —
-// and a stampede of identical concurrent requests performs exactly one
+// populated it, for every algorithm, sequential and on the broadcast driver
+// — the cache stores answers, it never re-derives them — a request naming
+// the retired "replay" driver is a 400 that never enters the cache, and a
+// stampede of identical concurrent requests performs exactly one
 // underlying estimation run, with every duplicate coalesced onto it.
 //
 // The file lives in package adjstream_test (not adjstream) because it
@@ -86,13 +87,24 @@ func wireRequest(algo adjstream.Algorithm, shape string) string {
 
 // TestCachedResponseByteIdenticalEveryAlgorithmAndDriver repeats every
 // algorithm × driver-shape request and requires the cached body to equal
-// the fresh body byte for byte.
+// the fresh body byte for byte. A parallel request without a driver shares
+// the broadcast entry: the body is the same. The retired replay driver is
+// rejected with 400 invalid_options on every attempt, uncached.
 func TestCachedResponseByteIdenticalEveryAlgorithmAndDriver(t *testing.T) {
 	ts := newCacheTestServer(t, serve.Config{})
 	for _, algo := range adjstream.Algorithms() {
 		for _, shape := range []string{"sequential", "broadcast", "replay"} {
 			t.Run(string(algo)+"/"+shape, func(t *testing.T) {
 				body := wireRequest(algo, shape)
+				if shape == "replay" {
+					for attempt := 0; attempt < 2; attempt++ {
+						code, outcome, b := postBody(t, ts, "/v1/estimate", body)
+						if code != http.StatusBadRequest || outcome != "" || !strings.Contains(string(b), `"invalid_options"`) {
+							t.Fatalf("attempt %d: status %d X-Cache %q body %s, want 400 invalid_options uncached", attempt, code, outcome, b)
+						}
+					}
+					return
+				}
 				code, outcome, fresh := postBody(t, ts, "/v1/estimate", body)
 				if code != http.StatusOK {
 					t.Fatalf("fresh: status %d (%s)", code, fresh)
@@ -109,6 +121,16 @@ func TestCachedResponseByteIdenticalEveryAlgorithmAndDriver(t *testing.T) {
 				}
 				if !bytes.Equal(fresh, cached) {
 					t.Errorf("cached response differs from fresh:\nfresh  %s\ncached %s", fresh, cached)
+				}
+				if shape == "broadcast" {
+					unnamed := strings.Replace(body, `,"driver":"broadcast"`, "", 1)
+					if unnamed == body {
+						t.Fatalf("no driver field to drop in %s", body)
+					}
+					code, outcome, shared := postBody(t, ts, "/v1/estimate", unnamed)
+					if code != http.StatusOK || outcome != "hit" || !bytes.Equal(shared, cached) {
+						t.Errorf("driverless parallel request: status %d X-Cache %q body %s, want a hit on %s", code, outcome, shared, cached)
+					}
 				}
 			})
 		}

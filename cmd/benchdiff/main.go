@@ -17,8 +17,10 @@
 // benchmarks named by -keys gate the exit status; everything present in
 // both reports is shown in the delta table for context.
 //
-// Exit codes: 0 ok, 1 regression beyond threshold, 2 usage error or no key
-// benchmark present in both reports (a silently empty gate is a failure).
+// Exit codes: 0 ok, 1 regression beyond threshold, 2 usage error, no key
+// benchmark present in both reports, or a key benchmark present in the
+// baseline but missing from the candidate (a gate that silently shrinks is
+// a failure; retire a key by removing it from -keys).
 package main
 
 import (
@@ -50,7 +52,7 @@ type Report struct {
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
-const defaultKeys = "BenchmarkBroadcastK32,BenchmarkBroadcastPushK32,BenchmarkExactKernels,BenchmarkEstimateColdVsCached,BenchmarkArbFourCycle"
+const defaultKeys = "BenchmarkBroadcastK32,BenchmarkExactKernels,BenchmarkEstimateColdVsCached,BenchmarkArbFourCycle"
 
 // stripProcs removes Go's -<GOMAXPROCS> suffix (BenchmarkFoo-8 → BenchmarkFoo)
 // so reports taken on machines with different core counts line up.
@@ -166,6 +168,18 @@ func diff(base, nw map[string]float64, keys []string) []row {
 	return rows
 }
 
+// missingKeyed returns, sorted, the key benchmarks of base that nw lacks.
+func missingKeyed(base, nw map[string]float64, keys []string) []string {
+	var missing []string
+	for name := range base {
+		if _, ok := nw[name]; !ok && isKeyed(name, keys) {
+			missing = append(missing, name)
+		}
+	}
+	sort.Strings(missing)
+	return missing
+}
+
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -206,7 +220,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	rows := diff(index(baseRep), index(newRep), keys)
+	baseIdx, newIdx := index(baseRep), index(newRep)
+	rows := diff(baseIdx, newIdx, keys)
 	fmt.Fprintf(stdout, "baseline: %s (%s)\n", *basePath, baseRep.Date)
 	fmt.Fprintf(stdout, "new:      %s (%s)\n\n", *newPath, newRep.Date)
 	fmt.Fprintln(stdout, "| benchmark | baseline ns/op | new ns/op | delta | gate |")
@@ -233,6 +248,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if keyedSeen == 0 {
 		fmt.Fprintf(stderr, "benchdiff: none of the key benchmarks (%s) appear in both reports\n", *keysFlag)
+		return 2
+	}
+	if missing := missingKeyed(baseIdx, newIdx, keys); len(missing) > 0 {
+		fmt.Fprintf(stderr, "benchdiff: %d key benchmark(s) in the baseline are missing from the candidate:\n", len(missing))
+		for _, name := range missing {
+			fmt.Fprintf(stderr, "  %s\n", name)
+		}
 		return 2
 	}
 	if len(regressed) > 0 {

@@ -148,6 +148,35 @@ func TestRunMissingKeysExit2(t *testing.T) {
 	}
 }
 
+// TestRunVanishedKeyExit2 drops one gated benchmark from the candidate
+// while another key still compares: the gate must fail with exit 2 and
+// name the missing benchmark rather than pass on what is left.
+func TestRunVanishedKeyExit2(t *testing.T) {
+	dir := t.TempDir()
+	writeReport(t, filepath.Join(dir, "BENCH_2026-01-01.json"), "old", map[string]float64{
+		"BenchmarkBroadcastK32-8":        1000,
+		"BenchmarkExactKernels/oracle-8": 500,
+		"BenchmarkExactKernels/csr-8":    100,
+	})
+	newPath := filepath.Join(dir, "new.json")
+	writeReport(t, newPath, "new", map[string]float64{
+		"BenchmarkBroadcastK32-8":        1000,
+		"BenchmarkExactKernels/oracle-8": 500,
+	})
+	var out, errw bytes.Buffer
+	if code := run([]string{"-dir", dir, "-new", newPath}, &out, &errw); code != 2 {
+		t.Fatalf("exit %d, want 2; stderr %s", code, errw.String())
+	}
+	if !strings.Contains(errw.String(), "BenchmarkExactKernels/csr") || strings.Contains(errw.String(), "oracle") {
+		t.Fatalf("stderr should name only the missing key:\n%s", errw.String())
+	}
+	// Retiring the key explicitly makes the same reports pass.
+	errw.Reset()
+	if code := run([]string{"-dir", dir, "-new", newPath, "-keys", "BenchmarkBroadcastK32"}, &out, &errw); code != 0 {
+		t.Fatalf("retired key: exit %d, want 0; stderr %s", code, errw.String())
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	dir := t.TempDir()
 	cases := [][]string{

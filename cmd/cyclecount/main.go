@@ -5,6 +5,7 @@
 // Usage:
 //
 //	cyclecount -algo twopass-triangle -prob 0.05 -copies 9 graph.edges
+//	cyclecount -algo twopass-triangle -prob 0.05 -copies 9 -parallel graph.edges
 //	cyclecount -algo twopass-fourcycle -size 2000 -order random stream.txt
 //	cyclecount -algo exact -len 5 graph.edges
 //	cyclecount -model arbitrary -algo arb-threepass-fourcycle -prob 0.3 g.edges
@@ -12,6 +13,9 @@
 //
 // The input is an edge-list file ("u v" per line) streamed in the chosen
 // order, or — with -stream — a ready-made adjacency-list stream file.
+// Vertex ids must lie in [0, 2^32-1]. -parallel runs the copies on the
+// broadcast driver, which reads the stream once per pass for all copies;
+// the result is identical to the sequential run.
 //
 // With -model arbitrary the run uses the arbitrary-order edge streaming
 // model (see adjstream.ModelArbitrary): an edge-list input is replayed in
@@ -104,8 +108,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	pairCap := fs.Int("paircap", 0, "candidate pair/wedge reservoir cap (0 = default)")
 	cycleLen := fs.Int("len", 3, "cycle length for -algo exact")
 	copies := fs.Int("copies", 1, "independent copies, median-combined")
-	parallel := fs.Bool("parallel", false, "run copies concurrently")
-	driver := fs.String("driver", "broadcast", "parallel execution driver: broadcast (pull executor, single stream read per pass), push-broadcast (legacy channel fan-out), or replay (one read per copy)")
+	parallel := fs.Bool("parallel", false, "run copies concurrently on the broadcast driver (one stream read per pass shared by all copies)")
 	copyRange := fs.String("copy-range", "", "run only copies [lo:hi) of the -copies run (requires -snapshot)")
 	snapshot := fs.String("snapshot", "", "write per-copy snapshots to this file instead of printing an estimate; merge shards with adjmerge")
 	seed := fs.Uint64("seed", 1, "seed for all randomness")
@@ -176,7 +179,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer closeStream()
 
 	// The run context carries -timeout and Ctrl-C, so a too-slow pass is
-	// abandoned at the next batch boundary instead of running to the end.
+	// abandoned at the next chunk boundary instead of running to the end.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	if *timeout > 0 {
@@ -197,14 +200,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		CycleLen:   *cycleLen,
 		Copies:     *copies,
 		Parallel:   *parallel,
-		Driver:     adjstream.Driver(*driver),
 		Seed:       *seed,
 		Model:      adjstream.Model(*model),
-	}
-	if arbitraryModel {
-		// Arbitrary-order runs have no driver; drop the flag default rather
-		// than forcing users to pass -driver "".
-		opts.Driver = ""
 	}
 
 	if *snapshot != "" {
@@ -236,8 +233,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "estimate:    %.2f\n", res.Estimate)
 	if res.Driver != "" {
 		fmt.Fprintf(stdout, "driver:      %s\n", res.Driver)
-	}
-	if res.Driver == adjstream.DriverBroadcast {
 		fmt.Fprintf(stdout, "stream reads: %d items (replay would read %d)\n",
 			res.DriverStats.StreamItemsRead, res.DriverStats.ItemsDelivered)
 	}

@@ -202,6 +202,12 @@ func TestExitCodes(t *testing.T) {
 	if code := run([]string{"-algo", "bogus", path}, &out, &errw); code != 2 {
 		t.Errorf("unknown algorithm: code = %d, want 2", code)
 	}
+	// -driver is gone: -parallel always runs the broadcast driver.
+	errw.Reset()
+	if code := run([]string{"-algo", "exact", "-copies", "3", "-parallel", "-driver", "broadcast", path}, &out, &errw); code != 2 ||
+		!strings.Contains(errw.String(), "flag provided but not defined: -driver") {
+		t.Errorf("-driver: code = %d, stderr %q; want 2 and an undefined-flag error", code, errw.String())
+	}
 	errw.Reset()
 	if code := run([]string{"-algo", "exact", "-timeout", "1ns", path}, &out, &errw); code != 3 {
 		t.Errorf("timeout: code = %d, want 3 (stderr %q)", code, errw.String())

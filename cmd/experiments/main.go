@@ -7,7 +7,10 @@
 // Usage:
 //
 //	experiments [-seed N] [-id T1.R6|F1|M1|A3|all] [-format markdown|csv] [-out FILE]
-//	            [-journal FILE] [-listen ADDR]
+//	            [-driverstats] [-journal FILE] [-listen ADDR]
+//
+// Multi-copy runs always use the broadcast driver (one stream read per
+// pass shared by all copies); -driverstats appends its counter table.
 //
 // -journal appends a JSONL run journal (provenance header, one record per
 // grid point, per-experiment telemetry snapshot) that cmd/runjournal can
@@ -74,8 +77,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	format := fs.String("format", "markdown", "output format: markdown or csv")
 	out := fs.String("out", "", "output file (default stdout)")
 	list := fs.Bool("list", false, "list experiment ids and exit")
-	driver := fs.String("driver", "broadcast", "multi-copy execution driver: broadcast (pull executor), push-broadcast (legacy fan-out), or replay")
-	driverStats := fs.Bool("driverstats", false, "append the driver-counter table (stream reads, batches, queue depth) after the experiments")
+	driverStats := fs.Bool("driverstats", false, "append the broadcast driver's counter table (stream reads, deliveries, chunks walked) after the experiments")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	journal := fs.String("journal", "", "append a JSONL run journal to this file (enables telemetry)")
@@ -89,10 +91,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	defer stopProfiles()
-	if err := exp.SetDriver(*driver); err != nil {
-		fmt.Fprintln(stderr, "experiments:", err)
-		return 2
-	}
 	if *listen != "" {
 		ln, err := telemetry.Listen(*listen)
 		if err != nil {

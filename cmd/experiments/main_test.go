@@ -46,4 +46,10 @@ func TestRunErrors(t *testing.T) {
 	if code := run([]string{"-id", "F1", "-format", "bogus"}, &out, &errw); code == 0 {
 		t.Error("unknown format should fail")
 	}
+	// -driver is gone: multi-copy runs always use the broadcast driver.
+	errw.Reset()
+	if code := run([]string{"-id", "F1", "-driver", "replay"}, &out, &errw); code != 2 ||
+		!strings.Contains(errw.String(), "flag provided but not defined: -driver") {
+		t.Errorf("-driver: code = %d, stderr %q; want 2 and an undefined-flag error", code, errw.String())
+	}
 }

@@ -3,10 +3,11 @@ package adjstream
 // Equivalence and cancellation tests for the context-aware API v2. The
 // contract under test: with a context that never fires, EstimateContext,
 // DistinguishContext, and LocalEstimateContext are bit-identical to their
-// context-free wrappers for every algorithm and both drivers (the context
-// checks live at batch boundaries and must not perturb a single number);
-// and once a context fires, every entry point surfaces ErrCanceled, wraps
-// the context's own error, and leaks no goroutines.
+// context-free wrappers for every algorithm, sequential and broadcast (the
+// context checks live at chunk boundaries and must not perturb a single
+// number); once a context fires, every entry point surfaces ErrCanceled,
+// wraps the context's own error, and leaks no goroutines; and the retired
+// "replay" driver is an option error on every path.
 
 import (
 	"context"
@@ -34,13 +35,22 @@ func ctxOpts(algo Algorithm) Options {
 }
 
 // driverVariants enumerates the execution shapes every algorithm must agree
-// across: sequential, and parallel median-of-5 under both drivers.
+// across — sequential, and parallel median-of-5 on the broadcast driver —
+// plus the retired "replay" driver, which every entry point must reject
+// with ErrInvalidOptions before running anything.
 func driverVariants(o Options) map[string]Options {
 	seq := o
 	broadcast, replay := o, o
 	broadcast.Copies, broadcast.Parallel, broadcast.Driver = 5, true, DriverBroadcast
-	replay.Copies, replay.Parallel, replay.Driver = 5, true, DriverReplay
+	replay.Copies, replay.Parallel, replay.Driver = 5, true, "replay"
 	return map[string]Options{"sequential": seq, "broadcast": broadcast, "replay": replay}
+}
+
+// withoutSkew zeroes the one wall-clock field of a Result, the per-pass
+// worker skew, so seed-determined fields can be compared exactly.
+func withoutSkew(r Result) Result {
+	r.DriverStats.PassSkewNS = 0
+	return r
 }
 
 func equivStream(t *testing.T) *Stream {
@@ -72,23 +82,27 @@ func waitGoroutines(t *testing.T, base int) {
 // TestEstimateContextNeverCancelledIsBitIdentical runs every algorithm ×
 // every driver shape under a live (cancellable but never cancelled)
 // context and requires results bit-identical to the wrapper path, which
-// takes the pre-context fast loops.
+// runs under a context that can never fire. Only the wall-clock
+// DriverStats.PassSkewNS may differ.
 func TestEstimateContextNeverCancelledIsBitIdentical(t *testing.T) {
 	s := equivStream(t)
 	for _, algo := range Algorithms() {
 		for shape, opts := range driverVariants(ctxOpts(algo)) {
 			t.Run(string(algo)+"/"+shape, func(t *testing.T) {
-				want, err := Estimate(s, opts)
-				if err != nil {
-					t.Fatalf("Estimate: %v", err)
-				}
+				want, werr := Estimate(s, opts)
 				ctx, cancel := context.WithCancel(context.Background())
 				defer cancel()
-				got, err := EstimateContext(ctx, s, opts)
-				if err != nil {
-					t.Fatalf("EstimateContext: %v", err)
+				got, gerr := EstimateContext(ctx, s, opts)
+				if shape == "replay" {
+					if !errors.Is(werr, ErrInvalidOptions) || !errors.Is(gerr, ErrInvalidOptions) {
+						t.Fatalf("retired driver: Estimate err = %v, EstimateContext err = %v, want ErrInvalidOptions", werr, gerr)
+					}
+					return
 				}
-				if got != want {
+				if werr != nil || gerr != nil {
+					t.Fatalf("Estimate: %v; EstimateContext: %v", werr, gerr)
+				}
+				if withoutSkew(got) != withoutSkew(want) {
 					t.Errorf("EstimateContext %+v != Estimate %+v", got, want)
 				}
 			})
@@ -98,7 +112,8 @@ func TestEstimateContextNeverCancelledIsBitIdentical(t *testing.T) {
 
 // TestEstimateContextCanceledBeforeStart requires every algorithm × driver
 // shape to fail with ErrCanceled (wrapping context.Canceled) when the
-// context is already dead, without leaking goroutines.
+// context is already dead, without leaking goroutines. The retired replay
+// driver fails validation first, with ErrInvalidOptions.
 func TestEstimateContextCanceledBeforeStart(t *testing.T) {
 	s := equivStream(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -108,6 +123,12 @@ func TestEstimateContextCanceledBeforeStart(t *testing.T) {
 			t.Run(string(algo)+"/"+shape, func(t *testing.T) {
 				base := runtime.NumGoroutine()
 				_, err := EstimateContext(ctx, s, opts)
+				if shape == "replay" {
+					if !errors.Is(err, ErrInvalidOptions) || errors.Is(err, ErrCanceled) {
+						t.Fatalf("err = %v, want ErrInvalidOptions before any cancellation check", err)
+					}
+					return
+				}
 				if !errors.Is(err, ErrCanceled) {
 					t.Fatalf("err = %v, want ErrCanceled", err)
 				}
@@ -144,9 +165,10 @@ func TestEstimateContextDeadlineMidRun(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
-// TestDistinguishDriverPathEquivalence checks satellite 3's routing: the
-// decision problem honors Copies/Parallel/Driver, both drivers agree
-// bit-for-bit, and the context-free wrapper matches the single-copy path.
+// TestDistinguishDriverPathEquivalence checks the decision problem's
+// routing: it honors Copies/Parallel/Driver, the broadcast and sequential
+// median runs agree bit-for-bit, and the context-free wrapper matches the
+// single-copy path.
 func TestDistinguishDriverPathEquivalence(t *testing.T) {
 	s := equivStream(t)
 	for _, cycleLen := range []int{3, 4, 5} {
@@ -159,13 +181,13 @@ func TestDistinguishDriverPathEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("len %d broadcast: %v", cycleLen, err)
 		}
-		opts.Driver = DriverReplay
-		fr, rr, err := DistinguishContext(context.Background(), s, cycleLen, opts)
+		opts.Parallel, opts.Driver = false, ""
+		fs, rs, err := DistinguishContext(context.Background(), s, cycleLen, opts)
 		if err != nil {
-			t.Fatalf("len %d replay: %v", cycleLen, err)
+			t.Fatalf("len %d sequential: %v", cycleLen, err)
 		}
-		if fb != fr || rb.Estimate != rr.Estimate || rb.SpaceWords != rr.SpaceWords || rb.Passes != rr.Passes {
-			t.Errorf("len %d: broadcast (%v %+v) != replay (%v %+v)", cycleLen, fb, rb, fr, rr)
+		if fb != fs || rb.Estimate != rs.Estimate || rb.SpaceWords != rs.SpaceWords || rb.Passes != rs.Passes {
+			t.Errorf("len %d: broadcast (%v %+v) != sequential (%v %+v)", cycleLen, fb, rb, fs, rs)
 		}
 		if rb.Copies != 5 {
 			t.Errorf("len %d: Copies = %d, want 5 (driver path not honored)", cycleLen, rb.Copies)
@@ -187,26 +209,27 @@ func TestDistinguishDriverPathEquivalence(t *testing.T) {
 }
 
 // TestLocalEstimateDriverPathEquivalence checks the same routing for the
-// local (per-vertex) estimator: both drivers and the sequential path agree
-// on every vertex, and the wrapper matches the context path.
+// local (per-vertex) estimator: the broadcast driver, named or left empty,
+// and the sequential path agree on every vertex, and the wrapper matches
+// the context path.
 func TestLocalEstimateDriverPathEquivalence(t *testing.T) {
 	s := equivStream(t)
 	const p = 0.5
 	base := Options{Copies: 5, Seed: 23}
-	bcast, replay := base, base
+	bcast, unnamed := base, base
 	bcast.Parallel, bcast.Driver = true, DriverBroadcast
-	replay.Parallel, replay.Driver = true, DriverReplay
+	unnamed.Parallel = true
 
 	counts := make(map[string]map[V]float64)
 	results := make(map[string]Result)
-	for shape, opts := range map[string]Options{"sequential": base, "broadcast": bcast, "replay": replay} {
+	for shape, opts := range map[string]Options{"sequential": base, "broadcast": bcast, "unnamed": unnamed} {
 		m, res, err := LocalEstimateContext(context.Background(), s, p, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", shape, err)
 		}
 		counts[shape], results[shape] = m, res
 	}
-	for _, shape := range []string{"broadcast", "replay"} {
+	for _, shape := range []string{"broadcast", "unnamed"} {
 		if len(counts[shape]) != len(counts["sequential"]) {
 			t.Fatalf("%s: %d vertices != sequential %d", shape, len(counts[shape]), len(counts["sequential"]))
 		}
@@ -251,6 +274,8 @@ func TestSentinelErrors(t *testing.T) {
 		{"empty algorithm", Options{}, ErrInvalidOptions},
 		{"unknown algorithm", Options{Algorithm: "nope"}, ErrUnknownAlgorithm},
 		{"unknown driver", Options{Algorithm: AlgoExact, Driver: "carrier-pigeon"}, ErrInvalidOptions},
+		{"retired replay driver", Options{Algorithm: AlgoExact, Driver: "replay"}, ErrInvalidOptions},
+		{"retired push driver", Options{Algorithm: AlgoExact, Driver: "push-broadcast"}, ErrInvalidOptions},
 		{"negative copies", Options{Algorithm: AlgoExact, Copies: -1}, ErrInvalidOptions},
 		{"copies and confidence", Options{Algorithm: AlgoExact, Copies: 3, Confidence: 0.9}, ErrInvalidOptions},
 		{"confidence out of range", Options{Algorithm: AlgoExact, Confidence: 1.5}, ErrInvalidOptions},

@@ -3,10 +3,12 @@ package adjstream
 // Equality tests for the broadcast driver: every estimator type in
 // internal/core and internal/baseline, driven with fixed seeds, must
 // produce estimates and space counts identical to sequential stream.Run.
-// This is the contract that lets the exp harness and the public API switch
-// drivers without perturbing a single reported number.
+// This is the contract that lets the exp harness and the public API run
+// copies in parallel without perturbing a single reported number.
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"adjstream/internal/baseline"
@@ -83,7 +85,10 @@ func TestBroadcastMatchesSequentialAllEstimators(t *testing.T) {
 				stream.Run(s, a)
 				seq[i], par[i] = a, b
 			}
-			st := stream.RunBroadcastConfig(s, par, stream.BroadcastConfig{BatchSize: 37})
+			st, err := stream.RunBroadcastContext(context.Background(), s, par)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i := 0; i < k; i++ {
 				if got, want := par[i].Estimate(), seq[i].Estimate(); got != want {
 					t.Errorf("copy %d: broadcast estimate %v != sequential %v", i, got, want)
@@ -99,9 +104,10 @@ func TestBroadcastMatchesSequentialAllEstimators(t *testing.T) {
 	}
 }
 
-// TestEstimateDriversAgree checks the public API: sequential, parallel
-// broadcast, and parallel replay runs of the same Options produce identical
-// results, and the broadcast result carries meaningful driver counters.
+// TestEstimateDriversAgree checks the public API: sequential and parallel
+// broadcast runs of the same Options produce identical results whether the
+// driver is named or left empty, the broadcast result carries meaningful
+// driver counters, and the retired driver names are rejected.
 func TestEstimateDriversAgree(t *testing.T) {
 	g, err := gen.ErdosRenyi(100, 0.12, 3)
 	if err != nil {
@@ -118,50 +124,48 @@ func TestEstimateDriversAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	broadcast := base
-	broadcast.Parallel = true
-	resB, err := Estimate(s, broadcast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replay := base
-	replay.Parallel = true
-	replay.Driver = DriverReplay
-	resR, err := Estimate(s, replay)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resB.Estimate != sequential.Estimate || resR.Estimate != sequential.Estimate {
-		t.Fatalf("estimates diverge: sequential %v, broadcast %v, replay %v",
-			sequential.Estimate, resB.Estimate, resR.Estimate)
-	}
-	if resB.SpaceWords != sequential.SpaceWords || resR.SpaceWords != sequential.SpaceWords {
-		t.Fatalf("space diverges: sequential %d, broadcast %d, replay %d",
-			sequential.SpaceWords, resB.SpaceWords, resR.SpaceWords)
-	}
-	if resB.Driver != DriverBroadcast || resR.Driver != DriverReplay {
-		t.Fatalf("drivers = %q, %q", resB.Driver, resR.Driver)
-	}
-	// 9 two-pass copies: broadcast reads 2·2m items, replay 9·2·2m.
-	if resB.DriverStats.StreamItemsRead*2 > resR.DriverStats.StreamItemsRead {
-		t.Fatalf("broadcast reads %d vs replay %d: want ≥ 2× fewer",
-			resB.DriverStats.StreamItemsRead, resR.DriverStats.StreamItemsRead)
+	for _, driver := range []Driver{"", DriverBroadcast} {
+		par := base
+		par.Parallel = true
+		par.Driver = driver
+		res, err := Estimate(s, par)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Estimate != sequential.Estimate || res.SpaceWords != sequential.SpaceWords {
+			t.Fatalf("driver %q: (%v, %d) diverges from sequential (%v, %d)",
+				driver, res.Estimate, res.SpaceWords, sequential.Estimate, sequential.SpaceWords)
+		}
+		if res.Driver != DriverBroadcast || sequential.Driver != "" {
+			t.Fatalf("driver %q: Result.Driver = %q, sequential %q", driver, res.Driver, sequential.Driver)
+		}
+		// 9 two-pass copies: broadcast reads 2·2m items and delivers
+		// 9·2·2m, what replaying the stream per copy would read.
+		st := res.DriverStats
+		if want := int64(2 * s.Len()); st.StreamItemsRead != want || st.ItemsDelivered != 9*want {
+			t.Fatalf("driver %q: reads %d, delivered %d; want %d and %d",
+				driver, st.StreamItemsRead, st.ItemsDelivered, want, 9*want)
+		}
 	}
 }
 
+// TestEstimateRejectsUnknownDriver covers unknown names and the retired
+// "replay" and "push-broadcast" drivers: all are option errors.
 func TestEstimateRejectsUnknownDriver(t *testing.T) {
 	g, err := gen.ErdosRenyi(20, 0.3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = Estimate(stream.Sorted(g), Options{
-		Algorithm:  AlgoTwoPassTriangle,
-		SampleProb: 0.5,
-		Copies:     3,
-		Parallel:   true,
-		Driver:     "bogus",
-	})
-	if err == nil {
-		t.Fatal("expected error for unknown driver")
+	for _, driver := range []Driver{"bogus", "replay", "push-broadcast"} {
+		_, err = Estimate(stream.Sorted(g), Options{
+			Algorithm:  AlgoTwoPassTriangle,
+			SampleProb: 0.5,
+			Copies:     3,
+			Parallel:   true,
+			Driver:     driver,
+		})
+		if !errors.Is(err, ErrInvalidOptions) {
+			t.Fatalf("driver %q: err = %v, want ErrInvalidOptions", driver, err)
+		}
 	}
 }

@@ -66,10 +66,8 @@ func (o Options) Validate() error {
 	default:
 		return fmt.Errorf("%w: unknown model %q", ErrInvalidOptions, o.Model)
 	}
-	switch o.Driver {
-	case "", DriverBroadcast, DriverPushBroadcast, DriverReplay:
-	default:
-		return fmt.Errorf("%w: unknown driver %q", ErrInvalidOptions, o.Driver)
+	if o.Driver != "" && o.Driver != DriverBroadcast {
+		return fmt.Errorf("%w: unknown driver %q (want %q or empty)", ErrInvalidOptions, o.Driver, DriverBroadcast)
 	}
 	if o.Copies > 0 && o.Confidence > 0 {
 		return fmt.Errorf("%w: set at most one of Copies and Confidence", ErrInvalidOptions)

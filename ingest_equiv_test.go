@@ -5,9 +5,9 @@ package adjstream_test
 // published snapshot — so replaying the same request against a cold catalog
 // seeded with that version's graph (serve.Catalog.AddAt) must reproduce the
 // response byte-for-byte (elapsed_ms aside), for every algorithm under
-// sequential, pull-broadcast, and replay execution, and through a
-// 3-replica cluster. Run with -race: the flood and the estimators hammer
-// the same MutableDataset.
+// sequential and broadcast execution (driver named or left empty), and
+// through a 3-replica cluster. Run with -race: the flood and the estimators
+// hammer the same MutableDataset.
 
 import (
 	"encoding/json"
@@ -131,14 +131,14 @@ func floodBatches(t *testing.T, baseURL string, seedEdges map[[2]int64]bool, nBa
 }
 
 // estimateBodies builds the request matrix: every algorithm × {sequential,
-// pull-broadcast, replay}.
+// broadcast named, broadcast by default}.
 func estimateBodies() []string {
 	var bodies []string
 	for _, algo := range adjstream.Algorithms() {
 		for _, mode := range []map[string]any{
 			{"parallel": false},
 			{"parallel": true, "driver": string(adjstream.DriverBroadcast)},
-			{"parallel": true, "driver": string(adjstream.DriverReplay)},
+			{"parallel": true},
 		} {
 			req := map[string]any{
 				"graph":     "live",

@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
@@ -86,7 +87,10 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 		stream.Run(s, e)
 	}
 	par := mkCopies()
-	est, sp := stream.MedianParallel(s, par)
+	est, sp, _, err := stream.MedianBroadcastContext(context.Background(), s, par)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var seqEsts []float64
 	var seqSpace int64
 	for _, e := range seq {

@@ -29,7 +29,6 @@ type LocalTriangles struct {
 	items  int64
 	m      int64
 	meter  space.Meter
-	cur    stream.ListCursor
 
 	// Restored-run summary (state.go); nil unless Restore was called.
 	snap *stream.CopyState
@@ -78,7 +77,6 @@ func (l *LocalTriangles) Passes() int { return 2 }
 func (l *LocalTriangles) StartPass(p int) {
 	l.pass = p
 	l.pos = 0
-	l.cur = stream.ListCursor{}
 }
 
 // StartList implements stream.Algorithm.

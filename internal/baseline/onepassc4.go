@@ -23,7 +23,6 @@ type OnePassFourCycle struct {
 	items int64
 	m     int64
 	meter space.Meter
-	cur   stream.ListCursor
 
 	// Restored-run summary (state.go); nil unless Restore was called.
 	snap         *stream.CopyState
@@ -56,7 +55,7 @@ func NewOnePassFourCycle(cfg Config) (*OnePassFourCycle, error) {
 func (o *OnePassFourCycle) Passes() int { return 1 }
 
 // StartPass implements stream.Algorithm.
-func (o *OnePassFourCycle) StartPass(p int) { o.cur = stream.ListCursor{} }
+func (o *OnePassFourCycle) StartPass(int) {}
 
 // StartList implements stream.Algorithm.
 func (o *OnePassFourCycle) StartList(owner graph.V) {}

@@ -44,7 +44,6 @@ type WedgeSampler struct {
 	m      int64
 	closed int64
 	meter  space.Meter
-	cur    stream.ListCursor
 
 	// Restored-run summary (state.go); nil unless Restore was called.
 	snap *stream.CopyState
@@ -86,7 +85,7 @@ func NewWedgeSampler(cfg Config) (*WedgeSampler, error) {
 func (w *WedgeSampler) Passes() int { return 1 }
 
 // StartPass implements stream.Algorithm.
-func (w *WedgeSampler) StartPass(p int) { w.cur = stream.ListCursor{} }
+func (w *WedgeSampler) StartPass(int) {}
 
 // StartList implements stream.Algorithm.
 func (w *WedgeSampler) StartList(owner graph.V) {}

@@ -269,7 +269,7 @@ func (s *Scheduler) Run(ctx context.Context, kind string, req serve.EstimateRequ
 
 	// Mirror serve's single-node response exactly (modulo ElapsedMS):
 	// the original request's Algorithm (empty for distinguish), the
-	// normalized driver only for parallel multi-copy runs, and the
+	// broadcast driver only for parallel multi-copy runs, and the
 	// decision bit recovered the way DistinguishContext derives it.
 	resp := serve.EstimateResponse{
 		Graph:            req.Graph,
@@ -285,11 +285,7 @@ func (s *Scheduler) Run(ctx context.Context, kind string, req serve.EstimateRequ
 		ElapsedMS:        float64(time.Since(start)) / float64(time.Millisecond),
 	}
 	if base.Parallel && k > 1 {
-		driver := base.Driver
-		if driver == "" {
-			driver = string(adjstream.DriverBroadcast)
-		}
-		resp.Driver = driver
+		resp.Driver = string(adjstream.DriverBroadcast)
 	}
 	if kind == "distinguish" {
 		found := res.Estimate > 0

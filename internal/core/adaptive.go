@@ -67,7 +67,6 @@ func (c AdaptiveConfig) withDefaults() (AdaptiveConfig, error) {
 type AdaptiveTwoPassTriangle struct {
 	inner *TwoPassTriangle
 	cfg   AdaptiveConfig
-	cur   stream.ListCursor
 
 	// Restored-run summary (state.go); nil unless Restore was called.
 	snap      *stream.CopyState
@@ -99,7 +98,6 @@ func (a *AdaptiveTwoPassTriangle) Passes() int { return a.inner.Passes() }
 // StartPass implements stream.Algorithm.
 func (a *AdaptiveTwoPassTriangle) StartPass(p int) {
 	a.inner.StartPass(p)
-	a.cur = stream.ListCursor{}
 }
 
 // StartList implements stream.Algorithm.

@@ -72,7 +72,6 @@ type TwoPassFourCycle struct {
 	m     int64
 	meter space.Meter
 	tele  estTele
-	cur   stream.ListCursor
 
 	// Restored-run summary (state.go); nil unless Restore was called.
 	snap       *stream.CopyState
@@ -107,7 +106,6 @@ func (f *TwoPassFourCycle) Passes() int { return 2 }
 // StartPass implements stream.Algorithm.
 func (f *TwoPassFourCycle) StartPass(p int) {
 	f.pass = p
-	f.cur = stream.ListCursor{}
 }
 
 // StartList implements stream.Algorithm.

@@ -26,7 +26,6 @@ type NaiveTwoPass struct {
 	m     int64
 	found int64 // N = Σ_{e∈S} T(e)
 	meter space.Meter
-	cur   stream.ListCursor
 
 	// Restored-run summary (state.go); nil unless Restore was called.
 	snap *stream.CopyState
@@ -68,7 +67,6 @@ func (n *NaiveTwoPass) Passes() int { return 2 }
 func (n *NaiveTwoPass) StartPass(p int) {
 	n.pass = p
 	n.pos = 0
-	n.cur = stream.ListCursor{}
 }
 
 // StartList implements stream.Algorithm.

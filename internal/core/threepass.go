@@ -30,7 +30,6 @@ type ThreePassTriangle struct {
 	items int64
 	m     int64
 	meter space.Meter
-	cur   stream.ListCursor
 
 	// Restored-run summary (state.go); nil unless Restore was called.
 	snap      *stream.CopyState
@@ -69,7 +68,6 @@ func (t *ThreePassTriangle) Passes() int { return 3 }
 func (t *ThreePassTriangle) StartPass(p int) {
 	t.pass = p
 	t.pos = 0
-	t.cur = stream.ListCursor{}
 }
 
 // StartList implements stream.Algorithm.

@@ -56,7 +56,7 @@ type JournalRecord struct {
 	// GoVersion and Workers describe the environment (run headers only).
 	GoVersion string `json:"go_version,omitempty"`
 	Workers   int    `json:"workers,omitempty"`
-	// Driver is the multi-copy execution driver ("broadcast" or "replay").
+	// Driver is the multi-copy execution driver; runs record "broadcast".
 	Driver string `json:"driver,omitempty"`
 	// Row is the 1-based grid-point index within its experiment.
 	Row int `json:"row,omitempty"`
@@ -157,18 +157,12 @@ func GitRev() string {
 	return rev
 }
 
-// driverName returns the currently selected multi-copy driver.
-func driverName() string {
-	driverMu.Lock()
-	defer driverMu.Unlock()
-	if driverSel == "" {
-		return "broadcast"
-	}
-	return driverSel
-}
+// journalDriver is the multi-copy driver every record names: runCopies
+// always runs the broadcast driver.
+const journalDriver = "broadcast"
 
 // statsDelta returns after minus before for the summing counters; the
-// max-style fields (Passes, PeakQueueDepth) keep their after values.
+// max-style field Passes keeps its after value.
 func statsDelta(after, before stream.DriverStats) stream.DriverStats {
 	return stream.DriverStats{
 		Copies:          after.Copies - before.Copies,
@@ -176,7 +170,6 @@ func statsDelta(after, before stream.DriverStats) stream.DriverStats {
 		StreamItemsRead: after.StreamItemsRead - before.StreamItemsRead,
 		ItemsDelivered:  after.ItemsDelivered - before.ItemsDelivered,
 		Batches:         after.Batches - before.Batches,
-		PeakQueueDepth:  after.PeakQueueDepth,
 	}
 }
 
@@ -189,7 +182,7 @@ func journalRunHeader(seed uint64) error {
 		GitRev:    GitRev(),
 		GoVersion: runtime.Version(),
 		Workers:   runtime.GOMAXPROCS(0),
-		Driver:    driverName(),
+		Driver:    journalDriver,
 	})
 }
 
@@ -203,7 +196,7 @@ func journalExperiment(t *Table, seed uint64, elapsed time.Duration, metrics map
 			Experiment: t.ID,
 			Seed:       seed,
 			GitRev:     rev,
-			Driver:     driverName(),
+			Driver:     journalDriver,
 			Row:        i + 1,
 			Header:     t.Header,
 			Cells:      row,
@@ -218,7 +211,7 @@ func journalExperiment(t *Table, seed uint64, elapsed time.Duration, metrics map
 		Title:       t.Title,
 		Seed:        seed,
 		GitRev:      rev,
-		Driver:      driverName(),
+		Driver:      journalDriver,
 		Notes:       t.Notes,
 		ElapsedMS:   float64(elapsed) / float64(time.Millisecond),
 		Metrics:     metrics,
@@ -390,7 +383,7 @@ func runExperimentJournaled(e Experiment, seed uint64) (*Table, error) {
 	if journal {
 		reg.Reset()
 	}
-	usedBefore, _ := DriverCounters()
+	usedBefore := DriverCounters()
 	start := time.Now()
 	t, err := e.Run(seed)
 	if err != nil {
@@ -399,7 +392,7 @@ func runExperimentJournaled(e Experiment, seed uint64) (*Table, error) {
 	if !journal {
 		return t, nil
 	}
-	usedAfter, _ := DriverCounters()
+	usedAfter := DriverCounters()
 	if err := journalExperiment(t, seed, time.Since(start), reg.Snapshot(), statsDelta(usedAfter, usedBefore)); err != nil {
 		return nil, fmt.Errorf("writing journal: %w", err)
 	}

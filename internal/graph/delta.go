@@ -17,7 +17,8 @@ import (
 //
 // Every mutation is validated at staging time against the delta's current
 // view (base plus staged ops): adding a present edge, removing an absent
-// edge, and self-loops are errors and leave the delta unchanged. A Delta
+// edge, self-loops and ids outside [0, MaxV] are errors and leave the
+// delta unchanged. A Delta
 // is not safe for concurrent use; callers serialize mutations (the serve
 // layer holds one delta per dataset behind a mutex). After Apply the delta
 // is exhausted: further ops panic, so a stale buffer can never be applied
@@ -79,9 +80,16 @@ func (d *Delta) checkUsable() {
 }
 
 // Add stages the addition of {u,v}. It is an error if the edge is already
-// present in the delta's view or if u == v; on error nothing is staged.
+// present in the delta's view, if u == v, or if an id lies outside
+// [0, MaxV]; on error nothing is staged.
 func (d *Delta) Add(u, v V) error {
 	d.checkUsable()
+	if err := checkV(u); err != nil {
+		return err
+	}
+	if err := checkV(v); err != nil {
+		return err
+	}
 	if u == v {
 		return fmt.Errorf("graph: self-loop at vertex %d", u)
 	}
@@ -99,10 +107,17 @@ func (d *Delta) Add(u, v V) error {
 	return nil
 }
 
-// Remove stages the removal of {u,v}. It is an error if the edge is absent
-// from the delta's view; on error nothing is staged.
+// Remove stages the removal of {u,v}. It is an error if an id lies outside
+// [0, MaxV] or the edge is absent from the delta's view; on error nothing
+// is staged.
 func (d *Delta) Remove(u, v V) error {
 	d.checkUsable()
+	if err := checkV(u); err != nil {
+		return err
+	}
+	if err := checkV(v); err != nil {
+		return err
+	}
 	if !d.Present(u, v) {
 		return fmt.Errorf("graph: edge {%d,%d} not present", u, v)
 	}

@@ -97,6 +97,17 @@ func TestDeltaValidation(t *testing.T) {
 	if err := d.Remove(0, 2); err == nil {
 		t.Error("removal of absent edge accepted")
 	}
+	for _, bad := range []V{-1, MaxV + 1} {
+		if err := d.Add(0, bad); err == nil {
+			t.Errorf("add of out-of-range id %d accepted", bad)
+		}
+		if err := d.Remove(bad, 0); err == nil {
+			t.Errorf("removal of out-of-range id %d accepted", bad)
+		}
+	}
+	if d.Ops() != 0 {
+		t.Errorf("rejected ops staged %d changes", d.Ops())
+	}
 	if err := d.Add(0, 2); err != nil {
 		t.Fatal(err)
 	}

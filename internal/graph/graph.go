@@ -2,13 +2,27 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 )
 
-// V is a vertex identifier. Vertices are arbitrary non-negative int64 values;
+// V is a vertex identifier. Vertices are arbitrary values in [0, MaxV];
 // they need not be contiguous.
 type V int64
+
+// MaxV is the largest vertex id. The bound is what lets every adjacency-list
+// stream store its ids in uint32 columns; Builder.Add and Delta reject ids
+// outside [0, MaxV].
+const MaxV V = math.MaxUint32
+
+// checkV returns an error naming v when it lies outside [0, MaxV].
+func checkV(v V) error {
+	if v < 0 || v > MaxV {
+		return fmt.Errorf("graph: vertex id %d outside [0, %d]", v, MaxV)
+	}
+	return nil
+}
 
 // Edge is an undirected edge. The canonical form (as produced by Norm and
 // required by map keys throughout the repository) has U < V.
@@ -74,9 +88,15 @@ func NewBuilder() *Builder {
 	return &Builder{nbr: make(map[V]map[V]struct{})}
 }
 
-// Add inserts the undirected edge {u,v}. It returns an error for self-loops
-// and duplicate edges.
+// Add inserts the undirected edge {u,v}. It returns an error for ids
+// outside [0, MaxV], self-loops and duplicate edges.
 func (b *Builder) Add(u, v V) error {
+	if err := checkV(u); err != nil {
+		return err
+	}
+	if err := checkV(v); err != nil {
+		return err
+	}
 	if u == v {
 		return fmt.Errorf("graph: self-loop at vertex %d", u)
 	}

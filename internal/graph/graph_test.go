@@ -123,6 +123,18 @@ func TestBuilderRejectsSelfLoop(t *testing.T) {
 	}
 }
 
+func TestBuilderRejectsOutOfRangeIDs(t *testing.T) {
+	b := NewBuilder()
+	for _, bad := range []V{-1, MaxV + 1} {
+		if err := b.Add(1, bad); err == nil {
+			t.Errorf("Add(1, %d) accepted an id outside [0, MaxV]", bad)
+		}
+	}
+	if err := b.Add(0, MaxV); err != nil {
+		t.Fatalf("Add(0, MaxV): %v", err)
+	}
+}
+
 func TestBuilderRejectsDuplicate(t *testing.T) {
 	b := NewBuilder()
 	if err := b.Add(1, 2); err != nil {

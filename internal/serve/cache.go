@@ -68,7 +68,6 @@ type cacheKey struct {
 	copies      int
 	confidence  float64
 	parallel    bool
-	driver      string
 	seed        uint64 // effective seed (request seed or server default)
 	order       string
 }
@@ -76,9 +75,9 @@ type cacheKey struct {
 // shardOf returns the key's shard index.
 func (k cacheKey) shardOf() int {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s\x00%s\x00%x\x00%x\x00%s\x00%s\x00%d\x00%g\x00%d\x00%d\x00%d\x00%g\x00%t\x00%s\x00%x\x00%s",
+	fmt.Fprintf(h, "%s\x00%s\x00%x\x00%x\x00%s\x00%s\x00%d\x00%g\x00%d\x00%d\x00%d\x00%g\x00%t\x00%x\x00%s",
 		k.kind, k.graph, k.fingerprint, k.version, k.model, k.algorithm, k.sampleSize,
-		k.sampleProb, k.pairCap, k.cycleLen, k.copies, k.confidence, k.parallel, k.driver,
+		k.sampleProb, k.pairCap, k.cycleLen, k.copies, k.confidence, k.parallel,
 		k.seed, k.order)
 	return int(h.Sum64() % cacheShards)
 }

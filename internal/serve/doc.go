@@ -17,7 +17,7 @@
 //     GET /v1/graphs, GET /healthz). Every estimation runs under a context
 //     carrying the request deadline (bounded by Config.MaxTimeout) and the
 //     client connection, so a timeout or disconnect cancels the pass loop
-//     at the next batch boundary via adjstream.EstimateContext and frees
+//     at the next chunk boundary via adjstream.EstimateContext and frees
 //     the worker slot.
 //
 // Draining: SetDraining(true) makes /healthz fail (503) and rejects new

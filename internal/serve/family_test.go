@@ -75,11 +75,18 @@ func TestBatchFamilySharesOneRun(t *testing.T) {
 	}
 }
 
-// TestBatchFamilyDriverVariants checks the shared run honors each member
-// family's driver and stays bit-identical to standalone runs under it.
+// TestBatchFamilyDriverVariants checks the shared run stays bit-identical
+// to standalone runs whether a family names the broadcast driver or leaves
+// it empty (both echo "broadcast"), and that members naming a retired
+// driver are rejected item by item with 400 invalid_options.
 func TestBatchFamilyDriverVariants(t *testing.T) {
-	for _, driver := range []string{"broadcast", "push-broadcast", "replay"} {
-		t.Run(driver, func(t *testing.T) {
+	for _, v := range []struct{ name, driver string }{
+		{"broadcast", "broadcast"},
+		{"unnamed", ""},
+		{"push-broadcast", "push-broadcast"},
+		{"replay", "replay"},
+	} {
+		t.Run(v.name, func(t *testing.T) {
 			_, ts := newTestServer(t, Config{})
 			mk := func(copies int) EstimateRequest {
 				return EstimateRequest{
@@ -88,7 +95,7 @@ func TestBatchFamilyDriverVariants(t *testing.T) {
 					SampleProb: 0.7,
 					Copies:     copies,
 					Parallel:   true,
-					Driver:     driver,
+					Driver:     v.driver,
 					Seed:       seedPtr(3),
 				}
 			}
@@ -97,17 +104,24 @@ func TestBatchFamilyDriverVariants(t *testing.T) {
 			if code := post(t, ts, "/v1/estimate/batch", batch, &resp); code != http.StatusOK {
 				t.Fatalf("batch status = %d", code)
 			}
+			retired := v.driver != "" && v.driver != "broadcast"
 			for i, copies := range []int{3, 5} {
 				r := resp.Results[i]
+				if retired {
+					if r.Status != http.StatusBadRequest || r.Error == nil || r.Error.Code != "invalid_options" || r.Cache != "" {
+						t.Errorf("item %d = %+v, want 400 invalid_options", i, r)
+					}
+					continue
+				}
 				if r.Status != http.StatusOK || r.Result == nil {
 					t.Fatalf("item %d = %+v", i, r)
 				}
 				if r.Cache != string(CacheShared) {
 					t.Errorf("item %d cache = %q, want shared", i, r.Cache)
 				}
-				if r.Result.Copies != copies || r.Result.Driver != driver {
-					t.Errorf("item %d: copies/driver = %d/%q, want %d/%q",
-						i, r.Result.Copies, r.Result.Driver, copies, driver)
+				if r.Result.Copies != copies || r.Result.Driver != "broadcast" {
+					t.Errorf("item %d: copies/driver = %d/%q, want %d/broadcast",
+						i, r.Result.Copies, r.Result.Driver, copies)
 				}
 				_, fresh := newTestServer(t, Config{})
 				var want EstimateResponse

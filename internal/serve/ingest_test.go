@@ -214,6 +214,36 @@ func TestIngestValidation(t *testing.T) {
 	}
 }
 
+// TestIngestRejectsOutOfRangeIDs checks that vertex ids outside
+// [0, 2^32-1] — which no adjacency-list stream can hold — are rejected as
+// invalid edge ops before staging, so no version is published for them.
+func TestIngestRejectsOutOfRangeIDs(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for i, body := range []string{
+		`{"batch_id":"neg","add":[[-1,5]],"flush":true}`,
+		`{"batch_id":"big","add":[[8589934592,0]],"flush":true}`,
+		`{"batch_id":"edge","add":[[0,4294967296]],"flush":true}`,
+		`{"batch_id":"rm","remove":[[-1,5]],"flush":true}`,
+	} {
+		code, _, raw := postRaw(t, ts, "/v1/graphs/k6/edges", body)
+		var er ErrorResponse
+		if err := json.Unmarshal(raw, &er); err != nil {
+			t.Fatalf("case %d: decode envelope %s: %v", i, raw, err)
+		}
+		if code != http.StatusBadRequest || er.Error.Code != "invalid_edge_op" {
+			t.Errorf("case %d: status %d code %q, want 400 invalid_edge_op", i, code, er.Error.Code)
+		}
+	}
+	if _, d := graphDetail(t, ts, "k6"); d.Version != 1 {
+		t.Errorf("version = %d after rejected batches, want 1", d.Version)
+	}
+	// The largest id is accepted.
+	code, resp, er := ingest(t, ts, "k6", EdgeBatchRequest{BatchID: "max", Add: [][2]int64{{0, 4294967295}}, Flush: true})
+	if code != http.StatusOK || !resp.Merged {
+		t.Errorf("id 2^32-1: status %d resp %+v err %+v, want a merged batch", code, resp, er)
+	}
+}
+
 // TestCacheRekeysAcrossVersions is the cache-coherence acceptance check:
 // a cached result is served for repeats of the same version but never
 // across a version bump, and the version echo in a cached response is the

@@ -129,9 +129,10 @@ type EstimateRequest struct {
 	Copies int `json:"copies,omitempty"`
 	// Confidence derives Copies from δ = 1-Confidence.
 	Confidence float64 `json:"confidence,omitempty"`
-	// Parallel runs copies concurrently through the selected driver.
+	// Parallel runs copies concurrently through the broadcast driver.
 	Parallel bool `json:"parallel,omitempty"`
-	// Driver is "broadcast" (default), "push-broadcast", or "replay".
+	// Driver is empty or "broadcast", the one parallel driver; any other
+	// value is rejected as invalid_options.
 	Driver string `json:"driver,omitempty"`
 	// Seed drives all randomness deterministically. A nil Seed selects the
 	// server default (0). The pointer matters: with a plain uint64 an
@@ -230,7 +231,6 @@ func (r EstimateRequest) key(kind string, ds *Dataset) cacheKey {
 		copies:      r.Copies,
 		confidence:  r.Confidence,
 		parallel:    r.Parallel,
-		driver:      r.Driver,
 		seed:        r.EffectiveSeed(),
 		order:       r.Order,
 	}
@@ -792,14 +792,6 @@ func (s *Server) batchRunFamily(ctx context.Context, reqs []EstimateRequest, idx
 		fail(err)
 		return
 	}
-	// The driver the standalone parallel run would report.
-	driver := adjstream.DriverBroadcast
-	switch adjstream.Driver(base.Driver) {
-	case adjstream.DriverReplay:
-		driver = adjstream.DriverReplay
-	case adjstream.DriverPushBroadcast:
-		driver = adjstream.DriverPushBroadcast
-	}
 	for _, i := range idxs {
 		res, err := adjstream.MergeSnapshots(snaps[:reqs[i].Copies])
 		if err != nil {
@@ -815,7 +807,7 @@ func (s *Server) batchRunFamily(ctx context.Context, reqs []EstimateRequest, idx
 			Passes:           res.Passes,
 			M:                res.M,
 			Copies:           res.Copies,
-			Driver:           string(driver),
+			Driver:           string(adjstream.DriverBroadcast),
 			Seed:             reqs[i].EffectiveSeed(),
 			GraphVersion:     ds.Version(),
 			GraphFingerprint: fmt.Sprintf("%016x", ds.Fingerprint()),

@@ -4,100 +4,29 @@ import (
 	"context"
 	"runtime"
 	"sync"
-	"sync/atomic"
+	"time"
 
-	"adjstream/internal/graph"
 	"adjstream/internal/stats"
 )
 
 // The paper's estimators are median-of-k independent copies over the same
 // adjacency-list stream (Theorems 3.7 and 4.6). Replaying the stream once
 // per copy costs O(k · passes · 2m) stream-item reads for what is logically
-// O(passes · 2m): every copy sees the identical item sequence. RunBroadcast
-// is the shared-traversal driver: each pass reads the stream once and fans
-// the items out to all copies. The default executor is pull-based (pull.go:
-// workers iterate the immutable chunks directly for their shard of copies);
-// BroadcastConfig.Push selects the legacy push fan-out below, which sends
-// batches through per-worker channels from a producer goroutine. Per-copy
-// semantics are exactly those of sequential Run — same item order, same
-// list boundaries, independent per-copy state — so deterministic
-// (fixed-seed) estimators produce bit-identical estimates.
+// O(passes · 2m): every copy sees the identical item sequence. The
+// broadcast driver reads the stream once per pass and shares it: the copies
+// are split into contiguous shards, one worker per shard, and each worker
+// walks the stream's immutable chunks (often mmap-ed straight from an
+// "adjC" file) handing every whole chunk to each copy of its shard in turn
+// — the same walkPass a sequential run uses. Nothing is copied or sent; the
+// only coordination is the per-pass finish barrier. Per-copy semantics are
+// exactly those of sequential Run, so deterministic (fixed-seed)
+// estimators produce bit-identical estimates.
 
-// DefaultBatchSize is the number of items per fan-out batch when
-// BroadcastConfig.BatchSize is zero. Batches are subslices of the immutable
-// stream, so the cost of a batch is one channel send, not a copy; ~1024
-// items amortizes channel synchronization without hurting cache locality.
-const DefaultBatchSize = 1024
-
-// DefaultQueueDepth is the per-worker channel capacity (in batches) when
-// BroadcastConfig.QueueDepth is zero. It bounds how far the producer can
-// run ahead of the slowest worker.
-const DefaultQueueDepth = 8
-
-// BroadcastConfig tunes RunBroadcastConfig. The zero value selects the
-// defaults and is what RunBroadcast uses: the pull executor (see pull.go)
-// with the default fan-out window.
-type BroadcastConfig struct {
-	// BatchSize is the number of stream items per fan-out batch in the
-	// legacy push driver (default DefaultBatchSize). The pull executor
-	// ignores it; see Window.
-	BatchSize int
-	// Workers bounds the worker-pool size; estimator copies are sharded
-	// contiguously across workers (default GOMAXPROCS). Always clamped to
-	// the number of active copies, so an oversized setting cannot spawn
-	// idle workers.
-	Workers int
-	// QueueDepth is the per-worker buffered-channel capacity in batches
-	// for the push driver (default DefaultQueueDepth). The pull executor
-	// has no queues.
-	QueueDepth int
-	// Window is the number of stream items fanned to all copies per
-	// iteration of the pull executor (default DefaultPullWindow). Small
-	// windows let the CPU overlap the independent copies' dependency
-	// chains; see pull.go.
-	Window int
-	// Push selects the legacy push-based fan-out (producer goroutine plus
-	// per-worker batch channels) instead of the pull executor. Kept for
-	// A/B benchmarking, like the replay driver before it.
-	Push bool
-}
-
-func (c BroadcastConfig) withDefaults() BroadcastConfig {
-	if c.BatchSize <= 0 {
-		c.BatchSize = DefaultBatchSize
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = DefaultQueueDepth
-	}
-	if c.Window <= 0 {
-		c.Window = DefaultPullWindow
-	}
-	return c
-}
-
-// workersFor clamps the configured worker count to the number of active
-// copies: a Workers setting beyond the copy count would only spawn idle
-// workers (each owning an empty shard — and, in the push driver, a
-// QueueDepth-deep channel buffer fed every batch for nothing).
-func workersFor(cfg BroadcastConfig, active int) int {
-	w := cfg.Workers
-	if w > active {
-		w = active
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// DriverStats counts the work a driver run performed. The distinction that
-// matters for the broadcast-vs-replay comparison is StreamItemsRead (reads
-// of the underlying stream) versus ItemsDelivered (callback deliveries to
-// estimator copies): replay needs one stream read per delivery, broadcast
-// amortizes one read across all copies of a pass.
+// DriverStats counts the work a driver run performed. StreamItemsRead
+// counts reads of the underlying stream and ItemsDelivered the callback
+// deliveries to estimator copies: replaying the stream per copy would need
+// one read per delivery, broadcast amortizes one read across all copies of
+// a pass.
 type DriverStats struct {
 	// Copies is the number of estimator copies driven.
 	Copies int
@@ -109,13 +38,8 @@ type DriverStats struct {
 	// ItemsDelivered counts items delivered to estimator callbacks,
 	// summed over copies.
 	ItemsDelivered int64
-	// Batches counts fan-out units: producer batch sends in the push
-	// driver, windows iterated (summed over workers) in the pull executor.
+	// Batches counts the chunks walked, summed over workers.
 	Batches int64
-	// PeakQueueDepth is the largest per-worker queue backlog (in
-	// batches) observed at send time. Always zero for the pull executor,
-	// which has no queues.
-	PeakQueueDepth int
 	// Workers is the largest worker count used in any pass, after
 	// clamping to the number of active copies.
 	Workers int
@@ -135,9 +59,6 @@ func (s *DriverStats) Merge(other DriverStats) {
 	s.StreamItemsRead += other.StreamItemsRead
 	s.ItemsDelivered += other.ItemsDelivered
 	s.Batches += other.Batches
-	if other.PeakQueueDepth > s.PeakQueueDepth {
-		s.PeakQueueDepth = other.PeakQueueDepth
-	}
 	if other.Workers > s.Workers {
 		s.Workers = other.Workers
 	}
@@ -146,426 +67,114 @@ func (s *DriverStats) Merge(other DriverStats) {
 	}
 }
 
-// driverCounters is the in-flight form of DriverStats. During a broadcast
-// pass the producer and the shard workers update it concurrently — the
-// producer owns reads/batches/queue depth, each worker counts the
-// deliveries to its own shard — so every field is atomic. DriverStats
-// itself stays a plain snapshot struct for the public API.
-type driverCounters struct {
-	streamItemsRead atomic.Int64
-	itemsDelivered  atomic.Int64
-	batches         atomic.Int64
-	peakQueueDepth  atomic.Int64
-}
-
-// observeQueueDepth raises the peak backlog to d if it exceeds it.
-func (c *driverCounters) observeQueueDepth(d int64) {
-	for {
-		cur := c.peakQueueDepth.Load()
-		if d <= cur || c.peakQueueDepth.CompareAndSwap(cur, d) {
-			return
-		}
-	}
-}
-
-// snapshot freezes the counters into the public stats form.
-func (c *driverCounters) snapshot(copies, passes int) DriverStats {
-	return DriverStats{
-		Copies:          copies,
-		Passes:          passes,
-		StreamItemsRead: c.streamItemsRead.Load(),
-		ItemsDelivered:  c.itemsDelivered.Load(),
-		Batches:         c.batches.Load(),
-		PeakQueueDepth:  int(c.peakQueueDepth.Load()),
-	}
-}
-
-// RunBroadcast drives every estimator over s reading the stream once per
-// pass (not once per copy per pass). Results are identical to calling Run
-// on each estimator separately. Copies may disagree on pass count; each
-// copy participates in exactly its own first Passes() passes.
-func RunBroadcast(s *Stream, ests []Estimator) {
-	RunBroadcastConfig(s, ests, BroadcastConfig{})
-}
-
-// RunBroadcastConfig is RunBroadcast with explicit tuning knobs; it returns
-// the driver counters for the run.
-func RunBroadcastConfig(s *Stream, ests []Estimator, cfg BroadcastConfig) DriverStats {
-	// context.Background never fires, so the context variant cannot fail.
-	st, _ := RunBroadcastConfigContext(context.Background(), s, ests, cfg)
-	return st
-}
-
-// RunBroadcastContext is RunBroadcast with cooperative cancellation (see
-// RunBroadcastConfigContext).
-func RunBroadcastContext(ctx context.Context, s *Stream, ests []Estimator) (DriverStats, error) {
-	return RunBroadcastConfigContext(ctx, s, ests, BroadcastConfig{})
-}
-
-// RunBroadcastConfigContext is RunBroadcastConfig with cooperative
-// cancellation. Cancellation is polled at window/batch boundaries — never
-// per item — so a never-firing context costs nothing on the fan-out hot
-// path. On cancellation the run stops at the next boundary (the push
-// driver's workers drain the batches already queued, bounded by QueueDepth)
-// and the call returns ctx.Err() with the counters accumulated so far; the
-// estimators' state is unspecified. No goroutines outlive the call either
-// way.
+// RunBroadcastContext drives every estimator over s reading the stream once
+// per pass (not once per copy per pass), with up to GOMAXPROCS workers.
+// Results are identical to calling Run on each estimator separately. Copies
+// may disagree on pass count; each copy participates in exactly its own
+// first Passes() passes. It returns the driver counters for the run.
 //
-// The default executor is the pull one (see pull.go); cfg.Push selects the
-// legacy push fan-out.
-func RunBroadcastConfigContext(ctx context.Context, s *Stream, ests []Estimator, cfg BroadcastConfig) (DriverStats, error) {
-	cfg = cfg.withDefaults()
+// Cancellation is polled per chunk — never per item — so a never-firing
+// context costs nothing on the hot path. On cancellation the run stops at
+// the next chunk boundary and the call returns ctx.Err() with the counters
+// accumulated so far; the estimators' state is unspecified. No goroutines
+// outlive the call either way.
+func RunBroadcastContext(ctx context.Context, s *Stream, ests []Estimator) (DriverStats, error) {
+	return runBroadcast(ctx, s, ests, runtime.GOMAXPROCS(0))
+}
+
+// runBroadcast is RunBroadcastContext with at most maxWorkers workers.
+func runBroadcast(ctx context.Context, s *Stream, ests []Estimator, maxWorkers int) (DriverStats, error) {
 	if len(ests) == 0 {
 		return DriverStats{}, ctx.Err()
 	}
-	if !cfg.Push {
-		return runPullBroadcast(ctx, s, ests, cfg)
-	}
-	return runPushBroadcast(ctx, s, ests, cfg)
-}
-
-// runPushBroadcast is the legacy push-based broadcast driver: one producer
-// goroutine per pass reads the stream and sends batches down per-worker
-// channels. Kept as an A/B control for the pull executor.
-func runPushBroadcast(ctx context.Context, s *Stream, ests []Estimator, cfg BroadcastConfig) (DriverStats, error) {
 	maxPasses := 0
 	for _, e := range ests {
-		if p := e.Passes(); p > maxPasses {
-			maxPasses = p
-		}
+		maxPasses = max(maxPasses, e.Passes())
 	}
-	var dc driverCounters
-	tt := teleForDriver("push")
-	if s.chunks == nil {
-		tt.noteFallback()
-	}
-	done := ctx.Done()
+	tt := teleForDriver("broadcast")
+	st := DriverStats{Copies: len(ests)}
 	var runErr error
-	passes := 0
-	maxWorkers := 0
 	for p := 0; p < maxPasses; p++ {
-		if done != nil {
-			if err := ctx.Err(); err != nil {
-				runErr = err
-				break
-			}
-		}
-		active := ests[:0:0]
+		var active []Algorithm
 		for _, e := range ests {
 			if e.Passes() > p {
 				active = append(active, e)
 			}
 		}
-		if len(active) > 0 {
-			if w := workersFor(cfg, len(active)); w > maxWorkers {
-				maxWorkers = w
-			}
-		}
 		start := tt.startPass()
-		err := broadcastPass(ctx, s, active, p, cfg, &dc)
-		tt.endPass(start, int64(s.Len()), int64(s.Len())*int64(len(active)))
-		passes = p + 1
+		ps, err := broadcastPass(ctx, s, active, p, maxWorkers)
+		tt.endPass(start, ps.StreamItemsRead, ps.ItemsDelivered)
+		tt.observeSkew(ps.PassSkewNS)
+		st.Merge(ps)
+		st.Passes = p + 1
 		if err != nil {
 			runErr = err
 			break
 		}
 	}
 	tt.copies.Add(int64(len(ests)))
-	st := dc.snapshot(len(ests), passes)
-	st.Workers = maxWorkers
 	tt.batches.Add(st.Batches)
-	tt.queueDepth.Observe(int64(st.PeakQueueDepth))
 	return st, runErr
 }
 
-// broadcastPass performs pass p: one producer reads the stream, a bounded
-// pool of workers (each owning a contiguous shard of the active copies)
-// consumes batches and replays the callback protocol for every copy in its
-// shard — EdgeBatch for batch-capable copies, the item-at-a-time protocol
-// of runPass for the rest. Cancellation is polled per batch send; on a
-// cancelled ctx the producer stops early, closes the channels so the
-// workers drain and exit, and returns ctx.Err().
-//
-// Streams whose ids do not fit the uint32 columns have no chunks and use
-// the legacy []Item fan-out.
-func broadcastPass(ctx context.Context, s *Stream, active []Estimator, p int, cfg BroadcastConfig, dc *driverCounters) error {
-	if len(active) == 0 {
-		return nil
+// broadcastPass runs pass p: each worker walks the shared chunks for its
+// contiguous shard of the active copies. The returned stats count the
+// items read once (workers share the chunks), the deliveries and chunks
+// walked summed over workers, the worker count, and the wall-time skew
+// across workers (zero when the pass ran inline on one worker). The
+// WaitGroup is the pass finish barrier; the start barrier is implicit in
+// the goroutine launches.
+func broadcastPass(ctx context.Context, s *Stream, active []Algorithm, p int, maxWorkers int) (DriverStats, error) {
+	workers := min(maxWorkers, len(active))
+	st := DriverStats{Workers: workers}
+	if workers <= 1 {
+		// Single worker: run inline, no goroutine, no clock reads.
+		chunks, err := walkPass(ctx, s, active, p)
+		st.StreamItemsRead = s.itemsIn(chunks)
+		st.Batches = int64(chunks)
+		st.ItemsDelivered = st.StreamItemsRead * int64(len(active))
+		return st, err
 	}
-	if s.chunks != nil {
-		return broadcastPassColumnar(ctx, s, active, p, cfg, dc)
-	}
-	workers := workersFor(cfg, len(active))
-	chans := make([]chan []Item, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	shards := make([][]Algorithm, workers)
+	walls := make([]int64, workers)
+	chunks := make([]int, workers)
+	errs := make([]error, workers)
+	for w := range shards {
 		// Contiguous shards, sizes differing by at most one.
-		lo, hi := shardBounds(len(active), workers, w)
-		ch := make(chan []Item, cfg.QueueDepth)
-		chans[w] = ch
+		shards[w] = active[w*len(active)/workers : (w+1)*len(active)/workers]
 		wg.Add(1)
-		go func(shard []Estimator, ch <-chan []Item) {
+		go func(w int) {
 			defer wg.Done()
-			// Each worker counts the deliveries to its own shard.
-			dc.itemsDelivered.Add(runShardPass(shard, p, ch))
-		}(active[lo:hi], ch)
-	}
-	items := s.Items()
-	done := ctx.Done()
-	var batches, read int64
-producer:
-	for i := 0; i < len(items); i += cfg.BatchSize {
-		j := i + cfg.BatchSize
-		if j > len(items) {
-			j = len(items)
-		}
-		batch := items[i:j]
-		if done == nil {
-			// No cancellation requested: the exact pre-context hot path.
-			for _, ch := range chans {
-				// The producer is the only sender, so len(ch) at send
-				// time is an exact backlog measurement.
-				dc.observeQueueDepth(int64(len(ch)))
-				ch <- batch
-				batches++
-			}
-		} else {
-			for _, ch := range chans {
-				dc.observeQueueDepth(int64(len(ch)))
-				select {
-				case ch <- batch:
-					batches++
-				case <-done:
-					// Abandon the pass; workers drain what was queued.
-					break producer
-				}
-			}
-		}
-		read = int64(j)
-	}
-	for _, ch := range chans {
-		close(ch)
+			start := time.Now()
+			chunks[w], errs[w] = walkPass(ctx, s, shards[w], p)
+			walls[w] = int64(time.Since(start))
+		}(w)
 	}
 	wg.Wait()
-	dc.batches.Add(batches)
-	dc.streamItemsRead.Add(read)
-	return ctx.Err()
+	minW, maxW := walls[0], walls[0]
+	var err error
+	for w, shard := range shards {
+		minW, maxW = min(minW, walls[w]), max(maxW, walls[w])
+		read := s.itemsIn(chunks[w])
+		st.StreamItemsRead = max(st.StreamItemsRead, read)
+		st.Batches += int64(chunks[w])
+		st.ItemsDelivered += read * int64(len(shard))
+		if err == nil {
+			err = errs[w]
+		}
+	}
+	st.PassSkewNS = maxW - minW
+	return st, err
 }
 
-// colBatch is one columnar fan-out unit: views into a chunk's columns (or
-// freshly rebased runs when BatchSize slices a chunk). Immutable once sent.
-type colBatch struct {
-	owners, nbrs []uint32
-	runs         []int32
-}
-
-// broadcastPassColumnar is broadcastPass over the chunked form. With the
-// default configuration (BatchSize == DefaultChunkItems) every batch is a
-// whole chunk and the producer allocates nothing; smaller batch sizes slice
-// chunks and rebase the run offsets per slice.
-func broadcastPassColumnar(ctx context.Context, s *Stream, active []Estimator, p int, cfg BroadcastConfig, dc *driverCounters) error {
-	workers := workersFor(cfg, len(active))
-	chans := make([]chan colBatch, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := shardBounds(len(active), workers, w)
-		ch := make(chan colBatch, cfg.QueueDepth)
-		chans[w] = ch
-		wg.Add(1)
-		go func(shard []Estimator, ch <-chan colBatch) {
-			defer wg.Done()
-			dc.itemsDelivered.Add(runShardPassColumnar(shard, p, ch))
-		}(active[lo:hi], ch)
-	}
-	done := ctx.Done()
-	var batches, read int64
-producer:
-	for ci := range s.chunks {
-		c := &s.chunks[ci]
-		for i := 0; i < len(c.Owners); i += cfg.BatchSize {
-			j := i + cfg.BatchSize
-			if j > len(c.Owners) {
-				j = len(c.Owners)
-			}
-			batch := colBatch{
-				owners: c.Owners[i:j],
-				nbrs:   c.Nbrs[i:j],
-				runs:   runsWindow(c.Runs, i, j),
-			}
-			if done == nil {
-				for _, ch := range chans {
-					dc.observeQueueDepth(int64(len(ch)))
-					ch <- batch
-					batches++
-				}
-			} else {
-				for _, ch := range chans {
-					dc.observeQueueDepth(int64(len(ch)))
-					select {
-					case ch <- batch:
-						batches++
-					case <-done:
-						break producer
-					}
-				}
-			}
-			read += int64(j - i)
-		}
-	}
-	for _, ch := range chans {
-		close(ch)
-	}
-	wg.Wait()
-	dc.batches.Add(batches)
-	dc.streamItemsRead.Add(read)
-	return ctx.Err()
-}
-
-// shardBounds splits n copies across k workers into contiguous ranges.
-func shardBounds(n, k, w int) (lo, hi int) {
-	lo = w * n / k
-	hi = (w + 1) * n / k
-	return lo, hi
-}
-
-// runShardPass replays pass p to every estimator in shard from batches and
-// returns the number of callback deliveries it performed. List-boundary
-// detection is done once per batch position and fanned out, mirroring
-// runPass exactly for each copy.
-func runShardPass(shard []Estimator, p int, ch <-chan []Item) (delivered int64) {
-	for _, e := range shard {
-		e.StartPass(p)
-	}
-	inList := false
-	var cur graph.V
-	for batch := range ch {
-		delivered += int64(len(batch)) * int64(len(shard))
-		for _, it := range batch {
-			if !inList || it.Owner != cur {
-				if inList {
-					for _, e := range shard {
-						e.EndList(cur)
-					}
-				}
-				cur = it.Owner
-				inList = true
-				for _, e := range shard {
-					e.StartList(cur)
-				}
-			}
-			for _, e := range shard {
-				e.Edge(it.Owner, it.Nbr)
-			}
-		}
-	}
-	if inList {
-		for _, e := range shard {
-			e.EndList(cur)
-		}
-	}
-	for _, e := range shard {
-		e.EndPass(p)
-	}
-	return delivered
-}
-
-// runShardPassColumnar replays pass p to every estimator in shard from
-// columnar batches. Batch-capable copies consume whole columns per
-// EdgeBatch call; the rest get the item protocol decoded from the columns,
-// with list boundaries read off the run offsets (which mark exactly the
-// owner changes runShardPass would detect). The final open list is closed
-// by the worker before EndPass, per the BatchAlgorithm contract.
-func runShardPassColumnar(shard []Estimator, p int, ch <-chan colBatch) (delivered int64) {
-	var batchers []BatchAlgorithm
-	var itemized []Estimator
-	for _, e := range shard {
-		if ba, ok := e.(BatchAlgorithm); ok {
-			batchers = append(batchers, ba)
-		} else {
-			itemized = append(itemized, e)
-		}
-	}
-	for _, e := range shard {
-		e.StartPass(p)
-	}
-	inList := false
-	var cur, last graph.V
-	open := false
-	for b := range ch {
-		delivered += int64(len(b.owners)) * int64(len(shard))
-		for _, ba := range batchers {
-			ba.EdgeBatch(b.owners, b.nbrs, b.runs)
-		}
-		if len(itemized) > 0 {
-			i := 0
-			for _, r := range b.runs {
-				for ; i < int(r); i++ {
-					o, n := graph.V(b.owners[i]), graph.V(b.nbrs[i])
-					for _, e := range itemized {
-						e.Edge(o, n)
-					}
-				}
-				if inList {
-					for _, e := range itemized {
-						e.EndList(cur)
-					}
-				}
-				cur = graph.V(b.owners[r])
-				inList = true
-				for _, e := range itemized {
-					e.StartList(cur)
-				}
-			}
-			for ; i < len(b.owners); i++ {
-				o, n := graph.V(b.owners[i]), graph.V(b.nbrs[i])
-				for _, e := range itemized {
-					e.Edge(o, n)
-				}
-			}
-		}
-		if n := len(b.owners); n > 0 {
-			last = graph.V(b.owners[n-1])
-			open = true
-		}
-	}
-	if open {
-		for _, ba := range batchers {
-			ba.EndList(last)
-		}
-	}
-	if inList {
-		for _, e := range itemized {
-			e.EndList(cur)
-		}
-	}
-	for _, e := range shard {
-		e.EndPass(p)
-	}
-	return delivered
-}
-
-// MedianBroadcast drives the copies with the broadcast driver and returns
-// the median estimate, the summed peak space, and the driver counters —
-// the single-traversal counterpart of MedianParallel's replay mode.
-func MedianBroadcast(s *Stream, copies []Estimator) (estimate float64, spaceWords int64, st DriverStats) {
-	// context.Background never fires, so the context variant cannot fail.
-	estimate, spaceWords, st, _ = MedianBroadcastContext(context.Background(), s, copies)
-	return estimate, spaceWords, st
-}
-
-// MedianBroadcastContext is MedianBroadcast with cooperative cancellation.
-// On cancellation it returns ctx.Err() with zero estimate and space — the
-// copies' state is unspecified after an aborted run — plus the driver
-// counters accumulated before the abort.
+// MedianBroadcastContext drives the copies with the broadcast driver and
+// returns the median estimate, the summed peak space, and the driver
+// counters. On cancellation it returns ctx.Err() with zero estimate and
+// space — the copies' state is unspecified after an aborted run — plus the
+// driver counters accumulated before the abort.
 func MedianBroadcastContext(ctx context.Context, s *Stream, copies []Estimator) (estimate float64, spaceWords int64, st DriverStats, err error) {
-	return MedianBroadcastConfigContext(ctx, s, copies, BroadcastConfig{})
-}
-
-// MedianBroadcastConfigContext is MedianBroadcastContext with explicit
-// tuning knobs (notably Push, for driving the copies through the legacy
-// push fan-out instead of the pull executor).
-func MedianBroadcastConfigContext(ctx context.Context, s *Stream, copies []Estimator, cfg BroadcastConfig) (estimate float64, spaceWords int64, st DriverStats, err error) {
-	st, err = RunBroadcastConfigContext(ctx, s, copies, cfg)
+	st, err = RunBroadcastContext(ctx, s, copies)
 	if err != nil {
 		return 0, 0, st, err
 	}

@@ -1,14 +1,15 @@
 package stream
 
-// Benchmarks comparing the replay and broadcast drivers at k independent
-// copies over the same stream. The quantity at stake is stream-item reads:
-// replay performs k·passes·2m, broadcast passes·2m. Reported metrics:
+// Benchmarks of the drivers at k independent copies over the same stream.
+// The quantity at stake is stream-item reads: replaying the stream per copy
+// would perform k·passes·2m, broadcast performs passes·2m. Reported
+// metrics:
 //
 //	reads/op — stream items read from the underlying stream per run
-//	read-x   — replay reads divided by broadcast reads (broadcast benches)
+//	read-x   — per-copy replay reads (= deliveries) divided by broadcast reads
 
 import (
-	"strconv"
+	"context"
 	"testing"
 
 	"adjstream/internal/gen"
@@ -27,16 +28,14 @@ func benchStream(b *testing.B) *Stream {
 // benchEstimator is the benchmark workload: an order-sensitive rolling hash
 // with a per-item cost small enough that driver overhead dominates — what
 // these benchmarks are meant to measure (sumEstimator's tracer would spend
-// the budget on fmt.Sprintf instead). EdgeBatch keeps the accumulator in a
-// local so the inner loop runs register-to-register.
+// the budget on fmt.Sprintf instead).
 type benchEstimator struct {
 	passes int
 	acc    uint64
-	cur    ListCursor
 }
 
 func (e *benchEstimator) Passes() int         { return e.passes }
-func (e *benchEstimator) StartPass(p int)     { e.cur = ListCursor{} }
+func (e *benchEstimator) StartPass(p int)     {}
 func (e *benchEstimator) StartList(v graph.V) {}
 func (e *benchEstimator) EndList(v graph.V)   {}
 func (e *benchEstimator) EndPass(p int)       {}
@@ -46,27 +45,6 @@ func (e *benchEstimator) Edge(o, n graph.V) {
 	e.acc = e.acc*31 + uint64(o)*2 + uint64(n)
 }
 
-func (e *benchEstimator) EdgeBatch(owners, nbrs []uint32, runs []int32) {
-	acc := e.acc
-	i := 0
-	for _, b := range runs {
-		for ; i < int(b); i++ {
-			acc = acc*31 + uint64(owners[i])*2 + uint64(nbrs[i])
-		}
-		if e.cur.Open {
-			e.EndList(e.cur.Owner)
-		}
-		e.cur = ListCursor{Owner: graph.V(owners[b]), Open: true}
-		e.StartList(e.cur.Owner)
-	}
-	for ; i < len(owners); i++ {
-		acc = acc*31 + uint64(owners[i])*2 + uint64(nbrs[i])
-	}
-	e.acc = acc
-}
-
-var _ BatchAlgorithm = (*benchEstimator)(nil)
-
 func benchCopies(k int) []Estimator {
 	ests := make([]Estimator, k)
 	for i := range ests {
@@ -75,116 +53,32 @@ func benchCopies(k int) []Estimator {
 	return ests
 }
 
-// benchCopiesItem is benchCopies behind the ItemOnly wrapper: the same
-// estimator driven item-at-a-time, the A/B control for the batch path.
-func benchCopiesItem(k int) []Estimator {
-	ests := make([]Estimator, k)
-	for i := range ests {
-		ests[i] = ItemOnly(&benchEstimator{passes: 2})
-	}
-	return ests
-}
-
-func benchmarkReplay(b *testing.B, k int) {
-	s := benchStream(b)
-	b.ResetTimer()
-	var reads int64
-	for i := 0; i < b.N; i++ {
-		ests := benchCopies(k)
-		RunParallel(s, ests)
-		reads += ReplayStats(s, ests).StreamItemsRead
-	}
-	b.ReportMetric(float64(reads)/float64(b.N), "reads/op")
-}
-
 func benchmarkBroadcast(b *testing.B, k int) {
 	s := benchStream(b)
 	b.ResetTimer()
-	var reads, replayReads int64
+	var reads, delivered int64
 	for i := 0; i < b.N; i++ {
-		ests := benchCopies(k)
-		st := RunBroadcastConfig(s, ests, BroadcastConfig{})
+		st, err := RunBroadcastContext(context.Background(), s, benchCopies(k))
+		if err != nil {
+			b.Fatal(err)
+		}
 		reads += st.StreamItemsRead
-		replayReads += ReplayStats(s, ests).StreamItemsRead
+		delivered += st.ItemsDelivered
 	}
 	b.ReportMetric(float64(reads)/float64(b.N), "reads/op")
-	b.ReportMetric(float64(replayReads)/float64(reads), "read-x")
+	b.ReportMetric(float64(delivered)/float64(reads), "read-x")
 }
 
-// benchmarkBroadcastItem is benchmarkBroadcast on the item path (estimators
-// behind ItemOnly): the denominator of the batch-speedup claim tracked by
-// the bench gate.
-func benchmarkBroadcastItem(b *testing.B, k int) {
-	s := benchStream(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		RunBroadcastConfig(s, benchCopiesItem(k), BroadcastConfig{})
-	}
-}
+func BenchmarkBroadcastK8(b *testing.B)   { benchmarkBroadcast(b, 8) }
+func BenchmarkBroadcastK32(b *testing.B)  { benchmarkBroadcast(b, 32) }
+func BenchmarkBroadcastK128(b *testing.B) { benchmarkBroadcast(b, 128) }
 
-// benchmarkBroadcastPush is benchmarkBroadcast on the legacy push fan-out:
-// the A/B control for the pull executor, and a gated key so the legacy path
-// cannot silently rot.
-func benchmarkBroadcastPush(b *testing.B, k int) {
-	s := benchStream(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		RunBroadcastConfig(s, benchCopies(k), BroadcastConfig{Push: true})
-	}
-}
-
-func BenchmarkReplayK8(b *testing.B)             { benchmarkReplay(b, 8) }
-func BenchmarkReplayK32(b *testing.B)            { benchmarkReplay(b, 32) }
-func BenchmarkReplayK128(b *testing.B)           { benchmarkReplay(b, 128) }
-func BenchmarkBroadcastK8(b *testing.B)          { benchmarkBroadcast(b, 8) }
-func BenchmarkBroadcastK32(b *testing.B)         { benchmarkBroadcast(b, 32) }
-func BenchmarkBroadcastK128(b *testing.B)        { benchmarkBroadcast(b, 128) }
-func BenchmarkBroadcastPushK32(b *testing.B)     { benchmarkBroadcastPush(b, 32) }
-func BenchmarkBroadcastItemPathK32(b *testing.B) { benchmarkBroadcastItem(b, 32) }
-
-// BenchmarkRunBatchPath / BenchmarkRunItemPath A/B the sequential driver on
-// one estimator: the batch path gets whole chunks (direct method calls in
-// EdgeBatch), the item path one interface call per item.
+// BenchmarkRunBatchPath measures the sequential driver on one estimator:
+// whole chunks through the chunk walker, one interface call per callback.
 func BenchmarkRunBatchPath(b *testing.B) {
 	s := benchStream(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Run(s, &benchEstimator{passes: 2})
-	}
-}
-
-func BenchmarkRunItemPath(b *testing.B) {
-	s := benchStream(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Run(s, ItemOnly(&benchEstimator{passes: 2}))
-	}
-}
-
-// BenchmarkBroadcastBatchSize sweeps the batching knob at k = 32.
-func BenchmarkBroadcastBatchSize(b *testing.B) {
-	for _, bs := range []int{64, 256, 1024, 4096} {
-		b.Run(strconv.Itoa(bs), func(b *testing.B) {
-			s := benchStream(b)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				RunBroadcastConfig(s, benchCopies(32), BroadcastConfig{BatchSize: bs})
-			}
-		})
-	}
-}
-
-// BenchmarkBroadcastPullWindow sweeps the pull executor's fan-out window at
-// k = 32. Small windows keep several copies' independent dependency chains
-// in flight at once; large windows degenerate toward copy-at-a-time.
-func BenchmarkBroadcastPullWindow(b *testing.B) {
-	for _, w := range []int{8, 32, 128, 1024} {
-		b.Run(strconv.Itoa(w), func(b *testing.B) {
-			s := benchStream(b)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				RunBroadcastConfig(s, benchCopies(32), BroadcastConfig{Window: w})
-			}
-		})
 	}
 }

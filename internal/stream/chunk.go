@@ -3,24 +3,18 @@ package stream
 // Columnar chunked stream representation. A Stream's canonical storage is a
 // sequence of Chunks: flat little-endian-friendly []uint32 owner/neighbor
 // columns plus the in-chunk offsets where a new adjacency list starts. The
-// chunked form is what the drivers iterate (batch-capable algorithms get
-// whole columns at a time, everything else gets the legacy item-at-a-time
-// callbacks decoded from the same columns) and what the mmap-able binary
-// file format (mapped.go) stores verbatim.
+// chunked form is what the drivers walk (see walkChunk) and what the
+// mmap-able binary file format (mapped.go) stores verbatim.
 //
 // Vertex ids are graph.V (int64) in the model but uint32 in the columns;
-// streams whose ids do not fit keep only the row ([]Item) form and every
-// driver transparently falls back to the item path for them.
+// every constructor rejects ids outside [0, graph.MaxV] before building
+// chunks.
 
-import (
-	"math"
-
-	"adjstream/internal/graph"
-)
+import "adjstream/internal/graph"
 
 // DefaultChunkItems is the number of items per chunk built by the in-memory
-// stream constructors. It equals DefaultBatchSize so the broadcast driver's
-// default configuration fans out whole chunks without re-slicing.
+// stream constructors. The drivers hand each copy one whole chunk at a time
+// and poll for cancellation between chunks.
 const DefaultChunkItems = 1024
 
 // Chunk is one columnar block of a stream: Owners[i]/Nbrs[i] is the i-th
@@ -38,58 +32,9 @@ type Chunk struct {
 	Runs []int32
 }
 
-// BatchAlgorithm is the driver fast path: an Algorithm that can consume a
-// columnar batch in one call instead of one Edge callback per item.
-//
-// The contract mirrors the item protocol exactly. The driver calls
-// StartPass, then EdgeBatch once per batch in stream order; inside
-// EdgeBatch the algorithm must issue its own StartList/EndList/Edge
-// transitions — StartList at every run offset (closing the previously open
-// list first, if any), Edge for every column position. Because a batch can
-// end mid-list, the algorithm must carry the open-list state across
-// EdgeBatch calls (see ListCursor) and reset it in StartPass. After the
-// final batch of a pass the DRIVER closes the still-open list by calling
-// EndList with the last owner, then calls EndPass — so an implementation's
-// EndList/EndPass need no batch-specific handling.
-//
-// A correct EdgeBatch produces, for any batch split of a stream, the exact
-// callback-visible state sequence of the item path; the root
-// batch-equality tests enforce this per estimator per driver.
-type BatchAlgorithm interface {
-	Algorithm
-	// EdgeBatch consumes one columnar batch: owners[i]/nbrs[i] is item i,
-	// runs the in-batch offsets where a new adjacency list starts.
-	EdgeBatch(owners, nbrs []uint32, runs []int32)
-}
-
-// ListCursor is the open-list state a BatchAlgorithm carries across
-// EdgeBatch calls: the owner of the currently open adjacency list, if any.
-// Reset it (to the zero value) in StartPass.
-type ListCursor struct {
-	// Owner is the owner of the open list; meaningful only when Open.
-	Owner graph.V
-	// Open reports whether an adjacency list is currently open.
-	Open bool
-}
-
-// chunkable reports whether every vertex id in items fits the uint32
-// columns.
-func chunkable(items []Item) bool {
-	for _, it := range items {
-		if it.Owner < 0 || it.Owner > math.MaxUint32 || it.Nbr < 0 || it.Nbr > math.MaxUint32 {
-			return false
-		}
-	}
-	return true
-}
-
-// buildChunks encodes items into columnar chunks of at most chunkItems
-// items each. It returns nil when some id does not fit uint32 (the caller
-// then keeps the row form only).
+// buildChunks encodes items, whose ids the caller has checked against
+// graph.MaxV, into columnar chunks of at most chunkItems items each.
 func buildChunks(items []Item, chunkItems int) []Chunk {
-	if !chunkable(items) {
-		return nil
-	}
 	if chunkItems <= 0 {
 		chunkItems = DefaultChunkItems
 	}
@@ -131,37 +76,3 @@ func decodeChunks(chunks []Chunk, n int) []Item {
 	}
 	return items
 }
-
-// runsWindow returns the runs of c that fall in the item window [lo, hi),
-// rebased to lo. When lo == 0 the returned slice aliases c.Runs (no
-// allocation — the whole-chunk fan-out path).
-func runsWindow(runs []int32, lo, hi int) []int32 {
-	a := 0
-	for a < len(runs) && int(runs[a]) < lo {
-		a++
-	}
-	b := a
-	for b < len(runs) && int(runs[b]) < hi {
-		b++
-	}
-	if lo == 0 {
-		return runs[a:b]
-	}
-	if a == b {
-		return nil
-	}
-	out := make([]int32, b-a)
-	for i, r := range runs[a:b] {
-		out[i] = r - int32(lo)
-	}
-	return out
-}
-
-// itemOnly hides an estimator's EdgeBatch (if any) from the drivers by
-// exposing exactly the Estimator method set.
-type itemOnly struct{ Estimator }
-
-// ItemOnly wraps e so drivers cannot see an EdgeBatch implementation and
-// always use the item-at-a-time path — the A/B control for the
-// batch-equality tests and benchmarks.
-func ItemOnly(e Estimator) Estimator { return itemOnly{e} }

@@ -1,8 +1,13 @@
 package stream
 
 import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"adjstream/internal/graph"
@@ -35,76 +40,92 @@ func TestBuildChunksBoundaries(t *testing.T) {
 	}
 }
 
+// TestBuildChunksUnchunkable checks that ids outside the uint32 columns
+// never reach buildChunks: FromItems rejects them, so every stream has a
+// columnar form.
 func TestBuildChunksUnchunkable(t *testing.T) {
-	big := Item{Owner: math.MaxUint32 + 1, Nbr: 1}
-	if chunks := buildChunks([]Item{big}, 4); chunks != nil {
-		t.Fatalf("got %d chunks for an id beyond uint32, want nil", len(chunks))
-	}
-	if chunks := buildChunks([]Item{{Owner: 1, Nbr: -2}}, 4); chunks != nil {
-		t.Fatal("got chunks for a negative id, want nil")
-	}
-}
-
-func TestRunsWindow(t *testing.T) {
-	runs := []int32{0, 3, 5, 9}
-	cases := []struct {
-		lo, hi int
-		want   []int32
-	}{
-		{0, 10, []int32{0, 3, 5, 9}},
-		{0, 5, []int32{0, 3}},
-		{3, 7, []int32{0, 2}},
-		{4, 5, nil},
-		{5, 10, []int32{0, 4}},
-		{9, 10, []int32{0}},
-		{10, 12, nil},
-	}
-	for _, tc := range cases {
-		got := runsWindow(runs, tc.lo, tc.hi)
-		if len(got) == 0 && len(tc.want) == 0 {
-			continue
-		}
-		if !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("runsWindow(%v, %d, %d) = %v, want %v", runs, tc.lo, tc.hi, got, tc.want)
+	for _, items := range [][]Item{
+		{{Owner: 1, Nbr: graph.MaxV + 1}, {Owner: graph.MaxV + 1, Nbr: 1}},
+		{{Owner: 1, Nbr: -2}, {Owner: -2, Nbr: 1}},
+	} {
+		if s, err := FromItems(items); err == nil {
+			t.Fatalf("FromItems(%v) accepted ids outside [0, %d] (%d chunks)", items, graph.MaxV, len(s.Chunks()))
 		}
 	}
-	// The whole-chunk window must alias, not copy.
-	if got := runsWindow(runs, 0, 10); &got[0] != &runs[0] {
-		t.Error("runsWindow(lo=0) copied instead of aliasing")
-	}
-}
-
-// TestUnchunkableStreamFallsBack drives a stream whose ids exceed uint32
-// through both drivers: it has no columnar form, so the batch-capable
-// estimator must still see the exact item-path callback sequence.
-func TestUnchunkableStreamFallsBack(t *testing.T) {
-	big := graphVBig()
-	s, err := FromItems([]Item{{Owner: 1, Nbr: big}, {Owner: big, Nbr: 1}})
+	// The bound itself is inclusive.
+	s, err := FromItems([]Item{{Owner: 0, Nbr: graph.MaxV}, {Owner: graph.MaxV, Nbr: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Chunks() != nil {
-		t.Fatal("stream with an id beyond uint32 has a columnar form")
-	}
-	batch := &sumEstimator{tracer: tracer{passes: 2}}
-	item := &sumEstimator{tracer: tracer{passes: 2}}
-	Run(s, batch)
-	Run(s, ItemOnly(item))
-	if batch.Estimate() != item.Estimate() {
-		t.Errorf("fallback estimate %v != item estimate %v", batch.Estimate(), item.Estimate())
-	}
-	if !reflect.DeepEqual(batch.events, item.events) {
-		t.Errorf("fallback trace diverges from item trace")
-	}
-	par := []Estimator{&sumEstimator{tracer: tracer{passes: 2}}}
-	RunBroadcast(s, par)
-	if par[0].Estimate() != item.Estimate() {
-		t.Errorf("broadcast fallback estimate %v != item estimate %v", par[0].Estimate(), item.Estimate())
+	if c := s.Chunks(); len(c) != 1 || c[0].Nbrs[0] != math.MaxUint32 {
+		t.Fatalf("chunks = %+v, want one chunk holding id %d", c, graph.MaxV)
 	}
 }
 
-// graphVBig returns an id one past the uint32 range.
-func graphVBig() graph.V { return graph.V(math.MaxUint32) + 1 }
+// TestOutOfRangeIDsRejected feeds ids just outside [0, graph.MaxV] to every
+// stream constructor that reads them from outside the program: item
+// slices, text streams, "adj1" binary streams and edge lists. Each must be
+// rejected; the edge-list error names the offending line.
+func TestOutOfRangeIDsRejected(t *testing.T) {
+	for _, bad := range []graph.V{-1, graph.MaxV + 1} {
+		items := []Item{{Owner: 1, Nbr: bad}, {Owner: bad, Nbr: 1}}
+		if _, err := FromItems(items); err == nil {
+			t.Errorf("FromItems accepted id %d", bad)
+		}
+		text := fmt.Sprintf("1 %d\n%d 1\n", bad, bad)
+		if _, err := ReadText(strings.NewReader(text)); err == nil {
+			t.Errorf("ReadText accepted id %d", bad)
+		}
+		var bin bytes.Buffer
+		bin.WriteString("adj1")
+		bin.Write(binary.AppendUvarint(nil, 2))
+		for _, list := range [][2]int64{{1, int64(bad)}, {int64(bad), 1}} {
+			bin.Write(binary.AppendVarint(nil, list[0]))
+			bin.Write(binary.AppendUvarint(nil, 1))
+			bin.Write(binary.AppendVarint(nil, list[1]))
+		}
+		if _, err := ReadBinary(&bin); err == nil || !strings.Contains(err.Error(), "outside") {
+			t.Errorf("ReadBinary with id %d: err = %v, want an id-range error", bad, err)
+		}
+		edges := fmt.Sprintf("# header\n1 2\n2 %d\n", bad)
+		_, err := ReadEdgeList(strings.NewReader(edges))
+		if err == nil || !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("ReadEdgeList with id %d: err = %v, want an error naming line 3", bad, err)
+		}
+	}
+}
+
+// TestUnchunkableStreamFallsBack drives streams at the edge of the id
+// range through both drivers. A stream with an id beyond uint32 would have
+// no columnar form to walk, so it is rejected at construction and there is
+// no row walk to fall back to; the boundary id graph.MaxV stays on the
+// chunk walker, and every copy must see the callback sequence the row form
+// implies.
+func TestUnchunkableStreamFallsBack(t *testing.T) {
+	big := graph.MaxV + 1
+	if _, err := FromItems([]Item{{Owner: 1, Nbr: big}, {Owner: big, Nbr: 1}}); err == nil {
+		t.Fatalf("FromItems accepted id %d beyond uint32", big)
+	}
+	s, err := FromItems([]Item{{Owner: 1, Nbr: graph.MaxV}, {Owner: graph.MaxV, Nbr: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := itemTrace(s.Items(), 2)
+	seq := &tracer{passes: 2}
+	Run(s, seq)
+	if !reflect.DeepEqual(seq.events, want) {
+		t.Errorf("sequential trace = %v, want %v", seq.events, want)
+	}
+	trs, copies := traced(3, 2)
+	if _, err := RunBroadcastContext(context.Background(), s, copies); err != nil {
+		t.Fatal(err)
+	}
+	for i, tr := range trs {
+		if !reflect.DeepEqual(tr.events, want) {
+			t.Errorf("broadcast copy %d trace = %v, want %v", i, tr.events, want)
+		}
+	}
+}
 
 // TestChunkedStreamMultiChunk pins the chunk geometry of a stream larger
 // than one chunk and that ListOrder agrees with the row-form scan.

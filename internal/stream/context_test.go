@@ -1,7 +1,7 @@
 package stream
 
 // Cancellation tests for the context-aware drivers: a cancelled run must
-// stop promptly at a block/batch boundary, return ctx.Err(), and leak no
+// stop promptly at a chunk boundary, return ctx.Err(), and leak no
 // goroutines — and a never-firing context must not perturb a single
 // callback relative to the pre-context drivers.
 
@@ -99,11 +99,11 @@ func TestRunContextBackgroundMatchesRun(t *testing.T) {
 }
 
 // TestRunContextCancelMidPass parks a sequential run at its trip edge,
-// cancels, and checks the run stops at the next block boundary.
+// cancels, and checks the run stops at the next chunk boundary.
 func TestRunContextCancelMidPass(t *testing.T) {
 	g := randomGraph(60, 0.3, 7)
 	s := Random(g, 1)
-	if s.Len() < 2*CancelCheckItems/4 {
+	if s.Len() < 2*DefaultChunkItems/4 {
 		t.Skipf("stream too small: %d items", s.Len())
 	}
 	e := newGateEstimator(2, 10)
@@ -116,9 +116,9 @@ func TestRunContextCancelMidPass(t *testing.T) {
 	if err := <-errc; !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// The run delivered at most one more block after the cancel point.
-	if n := e.n.Load(); n > 10+int64(CancelCheckItems) {
-		t.Fatalf("delivered %d edges after cancel at 10 (check interval %d)", n, CancelCheckItems)
+	// The run delivered at most one more chunk after the cancel point.
+	if n := e.n.Load(); n > 10+int64(DefaultChunkItems) {
+		t.Fatalf("delivered %d edges after cancel at 10 (check interval %d)", n, DefaultChunkItems)
 	}
 }
 
@@ -139,9 +139,9 @@ func TestRunContextDeadline(t *testing.T) {
 	}
 }
 
-// TestBroadcastContextCancelMidPass saturates the broadcast producer behind
-// a parked worker, cancels, and checks that the producer abandons the pass,
-// every worker exits, and the stream was not fully read.
+// TestBroadcastContextCancelMidPass parks one worker on its first edge,
+// cancels, and checks that every worker abandons the pass at its next
+// chunk boundary, exits, and the stream was not fully read.
 func TestBroadcastContextCancelMidPass(t *testing.T) {
 	g := randomGraph(80, 0.4, 3)
 	s := Random(g, 2)
@@ -159,7 +159,7 @@ func TestBroadcastContextCancelMidPass(t *testing.T) {
 	}
 	outc := make(chan out, 1)
 	go func() {
-		st, err := RunBroadcastConfigContext(ctx, s, ests, BroadcastConfig{BatchSize: 8, QueueDepth: 1, Workers: len(ests)})
+		st, err := runBroadcast(ctx, chunkedStream(s, 8, 0), ests, len(ests))
 		outc <- out{st, err}
 	}()
 	<-gate.tripped
@@ -211,46 +211,5 @@ func TestMedianBroadcastContextCanceled(t *testing.T) {
 	_, _, _, err := MedianBroadcastContext(ctx, s, ests)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}
-
-func TestMedianReplayContextCanceled(t *testing.T) {
-	g := randomGraph(30, 0.3, 1)
-	s := Random(g, 1)
-	base := runtime.NumGoroutine()
-	gate := newGateEstimator(2, 1)
-	ests := []Estimator{gate, &sumEstimator{tracer: tracer{passes: 2}}}
-	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() {
-		_, _, err := MedianReplayContext(ctx, s, ests)
-		errc <- err
-	}()
-	<-gate.tripped
-	cancel()
-	close(gate.release)
-	if err := <-errc; !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	waitGoroutines(t, base)
-}
-
-func TestMedianReplayContextBackgroundMatchesReplay(t *testing.T) {
-	g := randomGraph(35, 0.2, 6)
-	s := Random(g, 2)
-	mk := func() []Estimator {
-		ests := make([]Estimator, 5)
-		for i := range ests {
-			ests[i] = &sumEstimator{tracer: tracer{passes: 2}, acc: float64(i)}
-		}
-		return ests
-	}
-	wantEst, wantSp := MedianReplay(s, mk())
-	gotEst, gotSp, err := MedianReplayContext(context.Background(), s, mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotEst != wantEst || gotSp != wantSp {
-		t.Fatalf("context replay (%v, %d) != replay (%v, %d)", gotEst, gotSp, wantEst, wantSp)
 	}
 }

@@ -11,17 +11,18 @@
 //
 // # Drivers
 //
-// [Run] drives one Algorithm over one stream, pass by pass. Multi-copy runs
-// (median amplification, trials) have two drivers with identical per-copy
-// results: [RunParallel] replays the stream once per copy, while
-// [RunBroadcast] reads the stream once per pass and fans each batch out to
-// every copy — the [DriverStats] it returns quantify the read reduction.
+// [RunContext] drives one Algorithm over one stream, pass by pass.
+// Multi-copy runs (median amplification, trials) use [RunBroadcastContext],
+// which reads the stream once per pass and hands every chunk to each copy
+// in turn; per-copy results are identical to sequential runs, and the
+// [DriverStats] it returns quantify the read reduction. Both drivers turn
+// chunks into callbacks through the same walker.
 //
 // # Telemetry
 //
 // When the global registry of internal/telemetry is enabled, both drivers
-// record per-pass wall times, items/sec, delivery counters, and the peak
-// fan-out queue depth under "driver.run.*" and "driver.broadcast.*". With
-// telemetry disabled (the default) the instrumentation is nil-handle
-// no-ops, off the per-item path entirely.
+// record per-pass wall times, items/sec and delivery counters under
+// "driver.run.*" and "driver.broadcast.*", plus the broadcast driver's
+// per-pass worker skew. With telemetry disabled (the default) the
+// instrumentation is nil-handle no-ops, off the per-item path entirely.
 package stream

@@ -33,34 +33,18 @@ func Run(s *Stream, a Algorithm) {
 	_ = RunContext(context.Background(), s, a)
 }
 
-// CancelCheckItems is the cancellation granularity of the sequential driver:
-// RunContext polls ctx once per this many items, so a cancelled run stops
-// within one block, never mid-callback. It matches the broadcast driver's
-// default batch size, where cancellation is checked per batch send.
-const CancelCheckItems = DefaultBatchSize
-
 // RunContext is Run with cooperative cancellation: it replays s once per
-// pass of a, polling ctx at block boundaries (every CancelCheckItems items)
-// and between passes. On cancellation it abandons the run — the current
+// pass of a, polling ctx before every chunk (DefaultChunkItems items for
+// in-memory streams). On cancellation it abandons the run — the current
 // pass's EndList/EndPass are not delivered, and a's state is unspecified —
 // and returns ctx.Err(). A context that never fires adds no per-item work
 // and yields exactly the callback sequence of Run.
 func RunContext(ctx context.Context, s *Stream, a Algorithm) error {
 	tt := teleForDriver("run")
-	if s.chunks == nil {
-		tt.noteFallback()
-	}
-	done := ctx.Done()
+	shard := []Algorithm{a}
 	for p := 0; p < a.Passes(); p++ {
-		if done != nil {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
 		start := tt.startPass()
-		if done == nil {
-			runPass(s, a, p)
-		} else if err := runPassContext(ctx, s, a, p); err != nil {
+		if _, err := walkPass(ctx, s, shard, p); err != nil {
 			return err
 		}
 		tt.endPass(start, int64(s.Len()), int64(s.Len()))
@@ -84,131 +68,91 @@ func RunOrders(streams []*Stream, a Algorithm) error {
 		}
 	}
 	tt := teleForDriver("run")
-	for _, st := range streams {
-		if st.chunks == nil {
-			tt.noteFallback()
-			break
-		}
-	}
-	for p := 0; p < a.Passes(); p++ {
+	shard := []Algorithm{a}
+	for p, s := range streams {
 		start := tt.startPass()
-		runPass(streams[p], a, p)
-		tt.endPass(start, int64(streams[p].Len()), int64(streams[p].Len()))
+		// context.Background never fires, so the pass cannot fail.
+		_, _ = walkPass(context.Background(), s, shard, p)
+		tt.endPass(start, int64(s.Len()), int64(s.Len()))
 	}
 	tt.copies.Add(1)
 	return nil
 }
 
-func runPass(s *Stream, a Algorithm, p int) {
-	if ba, ok := a.(BatchAlgorithm); ok && s.chunks != nil {
-		runPassBatch(s, ba, p)
-		return
-	}
-	a.StartPass(p)
-	inList := false
-	var cur graph.V
-	for _, it := range s.Items() {
-		if !inList || it.Owner != cur {
-			if inList {
-				a.EndList(cur)
-			}
-			cur = it.Owner
-			inList = true
-			a.StartList(cur)
-		}
-		a.Edge(it.Owner, it.Nbr)
-	}
-	if inList {
-		a.EndList(cur)
-	}
-	a.EndPass(p)
-}
-
-// runPassBatch is the columnar fast path: one EdgeBatch call per chunk, the
-// algorithm handling list transitions internally (see BatchAlgorithm), and
-// the driver closing the final open list before EndPass.
-func runPassBatch(s *Stream, ba BatchAlgorithm, p int) {
-	ba.StartPass(p)
-	var last graph.V
-	open := false
-	for i := range s.chunks {
-		c := &s.chunks[i]
-		if len(c.Owners) == 0 {
-			continue
-		}
-		ba.EdgeBatch(c.Owners, c.Nbrs, c.Runs)
-		last = graph.V(c.Owners[len(c.Owners)-1])
-		open = true
-	}
-	if open {
-		ba.EndList(last)
-	}
-	ba.EndPass(p)
-}
-
-// runPassBatchContext is runPassBatch with a cancellation poll per chunk —
-// the same granularity as the item path's CancelCheckItems blocks, since
-// DefaultChunkItems == CancelCheckItems. An aborted pass stops at a chunk
-// boundary without closing the open list.
-func runPassBatchContext(ctx context.Context, s *Stream, ba BatchAlgorithm, p int) error {
-	ba.StartPass(p)
-	var last graph.V
-	open := false
-	for i := range s.chunks {
+// walkPass delivers pass p of s to every algorithm in shard: StartPass,
+// then each whole chunk to each copy in turn, then the close of the last
+// open list and EndPass. ctx is polled before the pass and before every
+// chunk; an aborted pass stops there without closing the open list. It
+// returns the number of chunks walked.
+func walkPass(ctx context.Context, s *Stream, shard []Algorithm, p int) (chunks int, err error) {
+	done := ctx.Done()
+	if done != nil {
 		if err := ctx.Err(); err != nil {
-			return err
+			return 0, err
+		}
+	}
+	for _, a := range shard {
+		a.StartPass(p)
+	}
+	var cur listCursor
+	for i := range s.chunks {
+		if done != nil && i > 0 {
+			if err := ctx.Err(); err != nil {
+				return chunks, err
+			}
 		}
 		c := &s.chunks[i]
-		if len(c.Owners) == 0 {
-			continue
+		for _, a := range shard {
+			walkChunk(a, c, cur)
 		}
-		ba.EdgeBatch(c.Owners, c.Nbrs, c.Runs)
-		last = graph.V(c.Owners[len(c.Owners)-1])
-		open = true
+		cur = cur.advance(c)
+		chunks++
 	}
-	if open {
-		ba.EndList(last)
+	for _, a := range shard {
+		if cur.open {
+			a.EndList(cur.owner)
+		}
+		a.EndPass(p)
 	}
-	ba.EndPass(p)
-	return nil
+	return chunks, nil
 }
 
-// runPassContext is runPass with a cancellation poll every CancelCheckItems
-// items. The callback protocol within a block is identical to runPass; an
-// aborted pass stops at a block boundary without closing the open list.
-func runPassContext(ctx context.Context, s *Stream, a Algorithm, p int) error {
-	if ba, ok := a.(BatchAlgorithm); ok && s.chunks != nil {
-		return runPassBatchContext(ctx, s, ba, p)
+// listCursor is the adjacency list left open at a chunk boundary. Lists may
+// span chunks, so a chunk that starts a new list first closes the one its
+// predecessors left open.
+type listCursor struct {
+	owner graph.V
+	open  bool
+}
+
+// advance returns the cursor after c: the owner of c's last item, or cur
+// itself when c is empty.
+func (cur listCursor) advance(c *Chunk) listCursor {
+	if n := len(c.Owners); n > 0 {
+		return listCursor{owner: graph.V(c.Owners[n-1]), open: true}
 	}
-	a.StartPass(p)
-	inList := false
-	var cur graph.V
-	items := s.Items()
-	for base := 0; base < len(items); base += CancelCheckItems {
-		if err := ctx.Err(); err != nil {
-			return err
+	return cur
+}
+
+// walkChunk delivers chunk c to a, given the list cur left open before it:
+// Edge for every item, and at every run offset EndList for the open list
+// followed by StartList for the new one. It is the only place the drivers
+// turn columns into callbacks.
+func walkChunk(a Algorithm, c *Chunk, cur listCursor) {
+	i := 0
+	for _, r := range c.Runs {
+		for ; i < int(r); i++ {
+			a.Edge(graph.V(c.Owners[i]), graph.V(c.Nbrs[i]))
 		}
-		end := base + CancelCheckItems
-		if end > len(items) {
-			end = len(items)
+		if cur.open {
+			a.EndList(cur.owner)
 		}
-		for _, it := range items[base:end] {
-			if !inList || it.Owner != cur {
-				if inList {
-					a.EndList(cur)
-				}
-				cur = it.Owner
-				inList = true
-				a.StartList(cur)
-			}
-			a.Edge(it.Owner, it.Nbr)
-		}
+		cur = listCursor{owner: graph.V(c.Owners[r]), open: true}
+		a.StartList(cur.owner)
 	}
-	if inList {
-		a.EndList(cur)
+	for ; i < len(c.Owners); i++ {
+		a.Edge(graph.V(c.Owners[i]), graph.V(c.Nbrs[i]))
 	}
-	a.EndPass(p)
-	return nil
 }
 
 // Estimator is an Algorithm that produces a numeric estimate after its final

@@ -1,6 +1,7 @@
 package stream_test
 
 import (
+	"context"
 	"fmt"
 
 	"adjstream/internal/graph"
@@ -36,10 +37,10 @@ func Example() {
 	// m=3 pass 0: 6 items in 3 lists; pass 1: 6 items in 3 lists
 }
 
-// ExampleRunBroadcast fans one stream read per pass out to several
-// estimator copies; the driver stats of the configurable variant show the
-// read reduction over per-copy replay.
-func ExampleRunBroadcastConfig() {
+// ExampleRunBroadcastContext shares one stream read per pass among several
+// estimator copies; the driver stats show the read reduction over per-copy
+// replay.
+func ExampleRunBroadcastContext() {
 	g := graph.MustFromEdges([]graph.Edge{{U: 1, V: 2}, {U: 2, V: 3}, {U: 1, V: 3}})
 	s := stream.Sorted(g)
 	copies := make([]stream.Estimator, 3)
@@ -48,7 +49,11 @@ func ExampleRunBroadcastConfig() {
 		ests[i] = &itemEstimator{}
 		copies[i] = ests[i]
 	}
-	st := stream.RunBroadcastConfig(s, copies, stream.BroadcastConfig{})
+	st, err := stream.RunBroadcastContext(context.Background(), s, copies)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	fmt.Printf("copies=%d stream items read=%d delivered=%d\n",
 		st.Copies, st.StreamItemsRead, st.ItemsDelivered)
 	fmt.Printf("each copy saw %v items\n", ests[0].items)

@@ -60,6 +60,7 @@ func ReadText(r io.Reader) (*Stream, error) {
 
 // ReadEdgeList parses a plain undirected edge list ("u v" per line, '#'
 // comments allowed) into a graph, ignoring duplicate edges and self-loops.
+// Vertex ids outside [0, graph.MaxV] are an error naming the line.
 func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
@@ -82,6 +83,9 @@ func ReadEdgeList(r io.Reader) (*graph.Graph, error) {
 		v, err := strconv.ParseInt(fields[1], 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("stream: line %d: %w", line, err)
+		}
+		if !validID(graph.V(u)) || !validID(graph.V(v)) {
+			return nil, fmt.Errorf("stream: line %d: vertex id outside [0, %d]", line, graph.MaxV)
 		}
 		b.AddIfAbsent(graph.V(u), graph.V(v))
 	}

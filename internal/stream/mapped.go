@@ -59,12 +59,8 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// WriteColumnar writes s in the "adjC" columnar format. It fails when the
-// stream's vertex ids exceed uint32 (such streams have no columnar form).
+// WriteColumnar writes s in the "adjC" columnar format.
 func WriteColumnar(w io.Writer, s *Stream) error {
-	if s.chunks == nil && s.n > 0 {
-		return fmt.Errorf("stream: ids exceed uint32; no columnar form to write")
-	}
 	bw := bufio.NewWriter(w)
 	var hdr [mappedHeaderSize]byte
 	copy(hdr[0:4], mappedMagic)

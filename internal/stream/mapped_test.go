@@ -3,7 +3,6 @@ package stream
 import (
 	"bytes"
 	"encoding/binary"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -78,14 +77,30 @@ func TestColumnarRoundTripEmpty(t *testing.T) {
 	}
 }
 
+// TestWriteColumnarRejectsUnchunkable checks the columnar format's id
+// range from both sides: a stream with an id beyond uint32 is rejected
+// before WriteColumnar can see it, and one holding graph.MaxV round-trips
+// through the adjC format with the id intact.
 func TestWriteColumnarRejectsUnchunkable(t *testing.T) {
-	big := graph.V(math.MaxUint32) + 1
-	s, err := FromItems([]Item{{Owner: 1, Nbr: big}, {Owner: big, Nbr: 1}})
+	big := graph.MaxV + 1
+	if _, err := FromItems([]Item{{Owner: 1, Nbr: big}, {Owner: big, Nbr: 1}}); err == nil {
+		t.Fatalf("FromItems accepted id %d beyond uint32", big)
+	}
+	s, err := FromItems([]Item{{Owner: 1, Nbr: graph.MaxV}, {Owner: graph.MaxV, Nbr: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteColumnar(&bytes.Buffer{}, s); err == nil {
-		t.Fatal("WriteColumnar accepted a stream with ids beyond uint32")
+	path := filepath.Join(t.TempDir(), "max.adjc")
+	if err := WriteFile(path, s); err != nil {
+		t.Fatal(err)
+	}
+	m, err := OpenMapped(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if !reflect.DeepEqual(m.Items(), s.Items()) {
+		t.Errorf("items after round trip = %v, want %v", m.Items(), s.Items())
 	}
 }
 

@@ -19,9 +19,9 @@ type Item struct {
 //
 // The canonical storage is the columnar chunked form (see Chunk): flat
 // uint32 owner/neighbor columns plus list-boundary run offsets, which is
-// what the drivers iterate and what the binary file format maps. The legacy
-// row form is preserved behind the Items() adapter; streams whose vertex
-// ids exceed uint32 keep only the row form and are driven item-at-a-time.
+// what the drivers iterate and what the binary file format maps. Every
+// constructor rejects vertex ids outside [0, graph.MaxV], so every stream
+// has chunks. The row form is available through the Items() adapter.
 type Stream struct {
 	chunks []Chunk
 	n      int   // total number of items
@@ -35,8 +35,7 @@ type Stream struct {
 	itemsOnce sync.Once
 }
 
-// newStream wraps already-validated items, building the columnar form when
-// every id fits the uint32 columns.
+// newStream wraps already-validated items, building the columnar form.
 func newStream(items []Item, lists int, m int64) *Stream {
 	return &Stream{
 		chunks: buildChunks(items, DefaultChunkItems),
@@ -59,8 +58,8 @@ func (s *Stream) Items() []Item {
 	return s.items
 }
 
-// Chunks returns the columnar form, or nil when the stream's ids do not fit
-// uint32. The chunks and their columns are shared and must not be modified.
+// Chunks returns the columnar form. The chunks and their columns are shared
+// and must not be modified.
 func (s *Stream) Chunks() []Chunk { return s.chunks }
 
 // Len returns the number of items (2m).
@@ -77,30 +76,19 @@ func (s *Stream) Lists() int { return s.lists }
 // ListOrder returns the owners in arrival order.
 func (s *Stream) ListOrder() []graph.V {
 	out := make([]graph.V, 0, s.lists)
-	if s.chunks != nil {
-		for i := range s.chunks {
-			c := &s.chunks[i]
-			for _, r := range c.Runs {
-				out = append(out, graph.V(c.Owners[r]))
-			}
-		}
-		return out
-	}
-	var cur graph.V
-	first := true
-	for _, it := range s.Items() {
-		if first || it.Owner != cur {
-			out = append(out, it.Owner)
-			cur = it.Owner
-			first = false
+	for i := range s.chunks {
+		c := &s.chunks[i]
+		for _, r := range c.Runs {
+			out = append(out, graph.V(c.Owners[r]))
 		}
 	}
 	return out
 }
 
-// Validate checks the adjacency-list promise on items: owners are
-// contiguous, no list repeats, no self-loops, no duplicate items, and every
-// edge appears exactly once in each endpoint's list.
+// Validate checks the adjacency-list promise on items: every vertex id is
+// in [0, graph.MaxV], owners are contiguous, no list repeats, no
+// self-loops, no duplicate items, and every edge appears exactly once in
+// each endpoint's list.
 func Validate(items []Item) error {
 	seenList := make(map[graph.V]bool)
 	count := make(map[graph.Edge]int)
@@ -108,6 +96,9 @@ func Validate(items []Item) error {
 	var cur graph.V
 	inList := false
 	for i, it := range items {
+		if !validID(it.Owner) || !validID(it.Nbr) {
+			return fmt.Errorf("stream: item %d (%d,%d) has a vertex id outside [0, %d]", i, it.Owner, it.Nbr, graph.MaxV)
+		}
 		if it.Owner == it.Nbr {
 			return fmt.Errorf("stream: item %d is a self-loop at %d", i, it.Owner)
 		}
@@ -132,6 +123,9 @@ func Validate(items []Item) error {
 	}
 	return nil
 }
+
+// validID reports whether v fits the stream's uint32 columns.
+func validID(v graph.V) bool { return v >= 0 && v <= graph.MaxV }
 
 // countLists returns the number of maximal same-owner runs in items.
 func countLists(items []Item) int {
@@ -285,4 +279,16 @@ func (s *Stream) Graph() (*graph.Graph, error) {
 		}
 	}
 	return b.Graph(), nil
+}
+
+// itemsIn returns the number of items in the first n chunks.
+func (s *Stream) itemsIn(n int) int64 {
+	if n == len(s.chunks) {
+		return int64(s.n)
+	}
+	var items int64
+	for _, c := range s.chunks[:n] {
+		items += int64(len(c.Owners))
+	}
+	return items
 }

@@ -13,7 +13,7 @@ import (
 // nil check — the ≤2% BenchmarkDriver overhead budget of DESIGN.md §4d.
 //
 // Metric names, per driver ("run" for the sequential driver, "broadcast"
-// for the pull fan-out executor, "push" for the legacy push fan-out):
+// for the k-copy broadcast driver):
 //
 //	driver.<name>.pass_ns         histogram — wall time per stream pass
 //	driver.<name>.items_per_sec   gauge     — throughput of the last pass
@@ -21,17 +21,9 @@ import (
 //	driver.<name>.items_delivered counter   — items delivered to copies
 //	driver.<name>.passes          counter   — stream traversals completed
 //	driver.<name>.copies          counter   — estimator copies completed
-//	driver.<name>.batches         counter   — batch sends / windows iterated
-//	driver.push.queue_depth       high-water — peak per-worker backlog
+//	driver.<name>.batches         counter   — chunks walked, summed over workers
 //	driver.broadcast.pass_skew_ns histogram — per-pass worker wall-time
 //	                                          spread (stragglers)
-//
-// One name is global rather than per driver, because it flags a stream
-// property every driver hits the same way:
-//
-//	stream.driver.item_path_fallbacks counter — runs that used the legacy
-//	        []Item walk because the stream's vertex ids exceed uint32 and
-//	        it has no columnar chunks (the silent chunks==nil fallback)
 type driverTele struct {
 	passNS      *telemetry.Histogram
 	itemsPerSec *telemetry.Gauge
@@ -40,9 +32,7 @@ type driverTele struct {
 	passes      *telemetry.Counter
 	copies      *telemetry.Counter
 	batches     *telemetry.Counter
-	queueDepth  *telemetry.HighWater
 	skew        *telemetry.Histogram
-	fallbacks   *telemetry.Counter
 }
 
 // teleForDriver binds the handle set for the named driver, or the all-nil
@@ -61,9 +51,7 @@ func teleForDriver(name string) driverTele {
 		passes:      r.Counter(prefix + "passes"),
 		copies:      r.Counter(prefix + "copies"),
 		batches:     r.Counter(prefix + "batches"),
-		queueDepth:  r.HighWater(prefix + "queue_depth"),
 		skew:        r.Histogram(prefix + "pass_skew_ns"),
-		fallbacks:   r.Counter("stream.driver.item_path_fallbacks"),
 	}
 }
 
@@ -73,15 +61,6 @@ func (t driverTele) observeSkew(ns int64) {
 		return
 	}
 	t.skew.Observe(ns)
-}
-
-// noteFallback records one driver run that fell back to the []Item walk
-// because the stream has no columnar chunks.
-func (t driverTele) noteFallback() {
-	if t.fallbacks == nil {
-		return
-	}
-	t.fallbacks.Add(1)
 }
 
 // startPass returns the pass start time, or the zero time when disabled

@@ -19,11 +19,11 @@ func TestOperationsDocCoversDriverMetrics(t *testing.T) {
 	telemetry.Disable()
 	reg := telemetry.Enable()
 	defer telemetry.Disable()
-	for _, d := range []string{"run", "broadcast", "push"} {
+	for _, d := range []string{"run", "broadcast"} {
 		teleForDriver(d)
 	}
 
-	driverRe := regexp.MustCompile(`^driver\.(run|broadcast|push)\.`)
+	driverRe := regexp.MustCompile(`^driver\.(run|broadcast)\.`)
 	names := reg.Names()
 	if len(names) == 0 {
 		t.Fatal("no metrics registered")

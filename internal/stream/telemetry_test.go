@@ -1,11 +1,12 @@
 package stream
 
-// Tests for the driver counters (now atomics shared between the broadcast
-// producer and its shard workers) and for the driver telemetry. These run
-// under `make race` / the race CI job, which is what actually asserts that
-// the producer/worker counter sharing is sound.
+// Tests for the driver counters (reported by the broadcast workers and
+// merged after each pass) and for the driver telemetry. These run under
+// `make race` / the race CI job, which is what actually asserts that the
+// worker counter sharing is sound.
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -13,32 +14,31 @@ import (
 )
 
 // TestDriverStatsAtomicCounters drives many concurrent broadcast runs over
-// the same stream and checks every run's counters exactly. Workers count
-// their own deliveries, the producer counts reads and batches; under -race
-// this test is the assertion that the sharing is data-race-free.
+// the same stream and checks every run's counters exactly. Each pass's
+// workers report their counts through per-worker slots merged after the
+// pass barrier; under -race this test is the assertion that the sharing is
+// data-race-free.
 func TestDriverStatsAtomicCounters(t *testing.T) {
 	g := randomGraph(40, 0.2, 11)
-	s := Random(g, 7)
-	const runs, k = 8, 16
-	// Push pinned: the batch accounting below is the push producer's.
-	cfg := BroadcastConfig{BatchSize: 64, Workers: 4, QueueDepth: 2, Push: true}
+	s := chunkedStream(Random(g, 7), 64, 0)
+	const runs, k, workers = 8, 16, 4
 	var wg sync.WaitGroup
 	stats := make([]DriverStats, runs)
+	errs := make([]error, runs)
 	for r := 0; r < runs; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			ests := make([]Estimator, k)
-			for i := range ests {
-				ests[i] = &sumEstimator{tracer: tracer{passes: 2}}
-			}
-			stats[r] = RunBroadcastConfig(s, ests, cfg)
+			stats[r], errs[r] = runBroadcast(context.Background(), s, sums(k), workers)
 		}(r)
 	}
 	wg.Wait()
-	batchesPerPass := int64((s.Len() + cfg.BatchSize - 1) / cfg.BatchSize * cfg.Workers)
+	chunksPerPass := int64(len(s.Chunks()) * workers)
 	for r, st := range stats {
-		if st.Copies != k || st.Passes != 2 {
+		if errs[r] != nil {
+			t.Fatalf("run %d: %v", r, errs[r])
+		}
+		if st.Copies != k || st.Passes != 2 || st.Workers != workers {
 			t.Fatalf("run %d: stats = %+v", r, st)
 		}
 		if want := int64(2 * s.Len()); st.StreamItemsRead != want {
@@ -47,7 +47,7 @@ func TestDriverStatsAtomicCounters(t *testing.T) {
 		if want := int64(2 * s.Len() * k); st.ItemsDelivered != want {
 			t.Fatalf("run %d: ItemsDelivered = %d, want %d", r, st.ItemsDelivered, want)
 		}
-		if want := 2 * batchesPerPass; st.Batches != want {
+		if want := 2 * chunksPerPass; st.Batches != want {
 			t.Fatalf("run %d: Batches = %d, want %d", r, st.Batches, want)
 		}
 	}
@@ -79,11 +79,10 @@ func TestDriverTelemetry(t *testing.T) {
 	}
 
 	const k = 6
-	ests := make([]Estimator, k)
-	for i := range ests {
-		ests[i] = &sumEstimator{tracer: tracer{passes: 2}}
+	st, err := runBroadcast(context.Background(), chunkedStream(s, 32, 0), sums(k), 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	st := RunBroadcastConfig(s, ests, BroadcastConfig{BatchSize: 32, Workers: 3})
 	snap = r.Snapshot()
 	if got := snap["driver.broadcast.items_read"]; got != float64(st.StreamItemsRead) {
 		t.Fatalf("broadcast items_read = %v, want %d", got, st.StreamItemsRead)
@@ -117,11 +116,7 @@ func TestBroadcastTelemetryConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ests := make([]Estimator, k)
-			for j := range ests {
-				ests[j] = &sumEstimator{tracer: tracer{passes: 2}}
-			}
-			RunBroadcastConfig(s, ests, BroadcastConfig{BatchSize: 128, Workers: 2})
+			_, _ = runBroadcast(context.Background(), s, sums(k), 2)
 		}()
 	}
 	wg.Wait()

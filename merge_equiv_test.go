@@ -1,9 +1,10 @@
 package adjstream
 
 // Split-run equivalence: for every algorithm, partitioning a 9-copy run
-// into three shards — each executed with a different driver — writing the
-// shards to snapshot files, reading them back out of order, and merging
-// must reproduce the single-process parallel Result bit for bit.
+// into three shards — run sequentially or on the broadcast driver —
+// writing the shards to snapshot files, reading them back out of order,
+// and merging must reproduce the single-process parallel Result bit for
+// bit.
 
 import (
 	"context"
@@ -24,12 +25,13 @@ func TestShardedMergeMatchesSingleRun(t *testing.T) {
 	s := stream.Random(g, 9)
 	const k = 9
 	shards := []struct {
-		lo, hi int
-		driver Driver
+		lo, hi   int
+		parallel bool
+		driver   Driver
 	}{
-		{0, 3, DriverBroadcast},
-		{3, 7, DriverPushBroadcast},
-		{7, 9, DriverReplay},
+		{0, 3, true, DriverBroadcast},
+		{3, 7, false, ""},
+		{7, 9, true, ""},
 	}
 	for _, algo := range Algorithms() {
 		t.Run(string(algo), func(t *testing.T) {
@@ -49,7 +51,7 @@ func TestShardedMergeMatchesSingleRun(t *testing.T) {
 			files := make([]string, len(shards))
 			for i, sh := range shards {
 				so := opts
-				so.Driver = sh.driver
+				so.Parallel, so.Driver = sh.parallel, sh.driver
 				snaps, err := EstimateShardContext(context.Background(), s, so, sh.lo, sh.hi)
 				if err != nil {
 					t.Fatalf("shard [%d,%d): %v", sh.lo, sh.hi, err)

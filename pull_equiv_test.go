@@ -1,9 +1,9 @@
 package adjstream
 
-// Public-API driver equivalence: for every algorithm, the pull broadcast
-// executor (the default), the legacy push fan-out, and the replay driver
-// must reproduce the sequential median run bit for bit — estimate, space,
-// passes and m. This is the whole-roster version of TestEstimateDriversAgree.
+// Public-API driver equivalence: for every algorithm, the broadcast driver,
+// whether named or selected by an empty Driver, must reproduce the
+// sequential median run bit for bit — estimate, space, passes and m. This
+// is the whole-roster version of TestEstimateDriversAgree.
 
 import (
 	"testing"
@@ -31,7 +31,7 @@ func TestAllDriversBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, d := range []Driver{DriverBroadcast, DriverPushBroadcast, DriverReplay} {
+			for _, d := range []Driver{DriverBroadcast, ""} {
 				o := base
 				o.Parallel = true
 				o.Driver = d
@@ -45,8 +45,8 @@ func TestAllDriversBitIdentical(t *testing.T) {
 						d, got.Estimate, got.SpaceWords, got.Passes, got.M,
 						want.Estimate, want.SpaceWords, want.Passes, want.M)
 				}
-				if got.Driver != d {
-					t.Errorf("result driver = %q, want %q", got.Driver, d)
+				if got.Driver != DriverBroadcast {
+					t.Errorf("%q: result driver = %q, want %q", d, got.Driver, DriverBroadcast)
 				}
 			}
 		})

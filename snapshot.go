@@ -26,8 +26,8 @@ type CopySnapshot = []byte
 // EstimateShardContext runs the copy range [lo, hi) of the k-copy estimation
 // opts describes over s and returns one snapshot per copy, in copy order.
 // The full run has k = opts.copies() copies (from Copies or Confidence);
-// 0 ≤ lo < hi ≤ k is required. Parallel and Driver choose how the shard's
-// copies traverse the stream, exactly as in EstimateContext. The snapshots
+// 0 ≤ lo < hi ≤ k is required. Parallel chooses how the shard's copies
+// traverse the stream, exactly as in EstimateContext. The snapshots
 // from shards covering all of [0, k) merge into the bit-identical
 // single-process Result via MergeSnapshots. Errors wrap ErrUnknownAlgorithm,
 // ErrInvalidOptions, or ErrCanceled.
@@ -58,16 +58,7 @@ func EstimateShardContext(ctx context.Context, s *Stream, opts Options, lo, hi i
 		copies[i] = e
 	}
 	if opts.Parallel && len(copies) > 1 {
-		var err error
-		switch opts.Driver {
-		case DriverReplay:
-			err = stream.RunParallelContext(ctx, s, copies)
-		case DriverPushBroadcast:
-			_, err = stream.RunBroadcastConfigContext(ctx, s, copies, stream.BroadcastConfig{Push: true})
-		default: // DriverBroadcast or ""
-			_, err = stream.RunBroadcastContext(ctx, s, copies)
-		}
-		if err != nil {
+		if _, err := stream.RunBroadcastContext(ctx, s, copies); err != nil {
 			return nil, canceled(err)
 		}
 	} else {

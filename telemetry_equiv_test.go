@@ -8,6 +8,7 @@ package adjstream
 // equal the largest meter peak exactly.
 
 import (
+	"context"
 	"testing"
 
 	"adjstream/internal/gen"
@@ -47,7 +48,9 @@ func runRoster(t *testing.T, mk func(seed uint64) (stream.Estimator, error), s *
 		ests[i] = e
 	}
 	if broadcast {
-		stream.RunBroadcastConfig(s, ests, stream.BroadcastConfig{BatchSize: 37})
+		if _, err := stream.RunBroadcastContext(context.Background(), s, ests); err != nil {
+			t.Fatal(err)
+		}
 	} else {
 		for _, e := range ests {
 			stream.Run(s, e)
