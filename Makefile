@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet bench bench-smoke bench-json bench-baseline bench-gate journal-smoke serve-smoke cache-smoke merge-smoke cluster-smoke ingest-smoke model-smoke cover all
+.PHONY: build test race vet bench bench-smoke bench-json bench-baseline bench-gate journal-smoke serve-smoke cache-smoke merge-smoke cluster-smoke ingest-smoke model-smoke fuzz-smoke cover all
 
 all: build vet test
 
@@ -130,6 +130,18 @@ merge-smoke:
 	$(GO) run ./cmd/adjmerge /tmp/merge-smoke/shard-*.snap > /tmp/merge-smoke/merged.txt
 	head -6 /tmp/merge-smoke/single.txt | diff - /tmp/merge-smoke/merged.txt
 	@echo "merge-smoke: split+merge output matches the single run"
+
+# Fuzz smoke: `go test` only replays the seed corpora, so give every
+# decoder that reads bytes from disk or the network a short real fuzzing
+# run — text and edge-list streams, "adjC" columnar files and "adjM"
+# snapshot sets. A crashing input is saved under
+# internal/stream/testdata/fuzz/ for the regression suite.
+FUZZ_TARGETS = FuzzReadText FuzzReadEdgeList FuzzColumnarDecode FuzzReadSnapshotSet
+
+fuzz-smoke:
+	for f in $(FUZZ_TARGETS); do \
+		$(GO) test -run=NONE -fuzz="^$$f\$$" -fuzztime=10s ./internal/stream/ || exit 1; \
+	done
 
 cover:
 	$(GO) test -coverprofile=coverage.out ./...

@@ -123,7 +123,7 @@ func ReadEdgeListFile(path string) (*Graph, error) {
 }
 
 // ReadStreamFile reads a stream file from disk, sniffing the format by its
-// 4-byte magic: "adjC" columnar, "adj1" compact binary, anything else text.
+// 4-byte magic: "adjC" columnar, anything else text.
 // The returned stream owns its memory; use OpenStreamFile to memory-map a
 // columnar file instead of copying it.
 func ReadStreamFile(path string) (*Stream, error) {
@@ -241,7 +241,8 @@ const (
 	// ModelArbitrary is the classic insertion-only model: every edge
 	// exactly once, in adversarial order, no locality promise. Estimate
 	// derives the edge order from the adjacency-list stream by first
-	// occurrence; EstimateArbitrary accepts an explicit ArbitraryStream.
+	// occurrence; EstimateArbitraryContext accepts an explicit
+	// ArbitraryStream.
 	ModelArbitrary Model = "arbitrary"
 )
 
@@ -463,18 +464,50 @@ func (o Options) wrapSingle(seed uint64) (Estimator, error) {
 	return e, nil
 }
 
-// buildCopies constructs c independent copies with the deterministic
-// per-copy seed schedule (copy i gets Seed + i·0x9e37_79b9 + 1).
-func (o Options) buildCopies(c int) ([]Estimator, error) {
-	copies := make([]Estimator, c)
+// copySeed is the seed of copy i in a k-copy run: Seed itself for a single
+// copy, otherwise Seed plus i fixed strides plus one. It depends only on
+// Seed, i and k, never on how the copies are split into ranges, which is
+// what makes a split run bit-identical to an unsplit one.
+func (o Options) copySeed(i, k int) uint64 {
+	if k == 1 {
+		return o.Seed
+	}
+	return o.Seed + uint64(i)*0x9e37_79b9 + 1
+}
+
+// buildCopies builds copies [lo, hi) of the k = o.copies() copy run, copy i
+// from newCopy(o.copySeed(i, k)).
+func buildCopies[E any](o Options, lo, hi int, newCopy func(seed uint64) (E, error)) ([]E, error) {
+	k := o.copies()
+	copies := make([]E, hi-lo)
 	for i := range copies {
-		e, err := o.wrapSingle(o.Seed + uint64(i)*0x9e37_79b9 + 1)
+		e, err := newCopy(o.copySeed(lo+i, k))
 		if err != nil {
 			return nil, err
 		}
 		copies[i] = e
 	}
 	return copies, nil
+}
+
+// runCopies runs every copy over s under ctx: on the broadcast driver when
+// Parallel is set and there is more than one copy, otherwise one copy after
+// another. It returns the driver that ran them ("" for sequential runs) and
+// the broadcast counters.
+func (o Options) runCopies(ctx context.Context, s *Stream, copies []Estimator) (Driver, DriverStats, error) {
+	if o.Parallel && len(copies) > 1 {
+		st, err := stream.RunBroadcastContext(ctx, s, copies)
+		if err != nil {
+			return "", DriverStats{}, canceled(err)
+		}
+		return DriverBroadcast, st, nil
+	}
+	for _, e := range copies {
+		if err := stream.RunContext(ctx, s, e); err != nil {
+			return "", DriverStats{}, canceled(err)
+		}
+	}
+	return "", DriverStats{}, nil
 }
 
 // newArbitrary builds one arbitrary-order copy with the given seed. n is the
@@ -511,53 +544,24 @@ func (o Options) newArbitrary(seed uint64, n int64) (arbitrary.Estimator, error)
 	return e, nil
 }
 
-// NewEstimator builds the configured estimator (with median amplification
-// when Copies/Confidence ask for it). Drive it with RunStream or the
-// internal stream driver. Errors wrap ErrUnknownAlgorithm or
+// NewEstimator builds one copy of the configured estimator, seeded with
+// opts.Seed, for callers that drive it themselves. Options asking for more
+// than one copy (Copies or Confidence) are rejected: a median of copies runs
+// through EstimateContext. Errors wrap ErrUnknownAlgorithm or
 // ErrInvalidOptions. Arbitrary-order estimators are not stream.Estimators —
-// for Model = ModelArbitrary use Estimate/EstimateArbitrary, which drive the
-// copies themselves.
+// for Model = ModelArbitrary use EstimateContext or
+// EstimateArbitraryContext, which drive the copies themselves.
 func NewEstimator(opts Options) (Estimator, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	if opts.Model == ModelArbitrary {
-		return nil, fmt.Errorf("%w: Model %q estimators run over edge streams, not adjacency-list streams; use Estimate or EstimateArbitrary", ErrInvalidOptions, opts.Model)
+		return nil, fmt.Errorf("%w: Model %q estimators run over edge streams, not adjacency-list streams; use EstimateContext or EstimateArbitraryContext", ErrInvalidOptions, opts.Model)
 	}
-	c := opts.copies()
-	if c == 1 {
-		return opts.wrapSingle(opts.Seed)
+	if c := opts.copies(); c > 1 {
+		return nil, fmt.Errorf("%w: NewEstimator builds one copy, Options ask for %d; run a median of copies with EstimateContext", ErrInvalidOptions, c)
 	}
-	copies, err := opts.buildCopies(c)
-	if err != nil {
-		return nil, err
-	}
-	return stream.NewMedian(copies...), nil
-}
-
-// RunStream drives e over s (all passes, identical order per pass).
-func RunStream(s *Stream, e Estimator) { stream.Run(s, e) }
-
-// RunStreamContext is RunStream with cooperative cancellation: the pass loop
-// polls ctx at chunk boundaries and, once ctx fires, abandons the run and
-// returns an error wrapping ErrCanceled (and the context's own error). e's
-// state is unspecified after a cancelled run. With a context that never
-// fires, the delivered callback sequence is exactly that of RunStream.
-func RunStreamContext(ctx context.Context, s *Stream, e Estimator) error {
-	if err := stream.RunContext(ctx, s, e); err != nil {
-		return canceled(err)
-	}
-	return nil
-}
-
-// Distinguish answers the paper's decision problem — does the stream's
-// graph contain any cycles of the given length, or none? — with a single
-// sequential copy. sampleSize is the edge budget for the sublinear cases
-// (0 defaults to m/4-level budgets via SampleProb 0.25). It is the
-// backward-compatible wrapper over DistinguishContext, which additionally
-// honors Copies, Confidence, Parallel, and Driver.
-func Distinguish(s *Stream, cycleLen int, sampleSize int, seed uint64) (found bool, res Result, err error) {
-	return DistinguishContext(context.Background(), s, cycleLen, Options{SampleSize: sampleSize, Seed: seed})
+	return opts.wrapSingle(opts.Seed)
 }
 
 // DistinguishContext answers the decision problem under ctx using the
@@ -578,10 +582,10 @@ func DistinguishContext(ctx context.Context, s *Stream, cycleLen int, opts Optio
 		return false, Result{}, fmt.Errorf("%w: cycle length %d < 3", ErrInvalidOptions, cycleLen)
 	}
 	if opts.Algorithm != "" {
-		return false, Result{}, fmt.Errorf("%w: Distinguish derives Algorithm from cycleLen; leave it empty", ErrInvalidOptions)
+		return false, Result{}, fmt.Errorf("%w: DistinguishContext derives Algorithm from cycleLen; leave it empty", ErrInvalidOptions)
 	}
 	if opts.CycleLen != 0 {
-		return false, Result{}, fmt.Errorf("%w: Distinguish derives CycleLen from cycleLen; leave it zero", ErrInvalidOptions)
+		return false, Result{}, fmt.Errorf("%w: DistinguishContext derives CycleLen from cycleLen; leave it zero", ErrInvalidOptions)
 	}
 	switch {
 	case cycleLen == 3:
@@ -603,100 +607,90 @@ func DistinguishContext(ctx context.Context, s *Stream, cycleLen int, opts Optio
 	return res.Estimate > 0, res, nil
 }
 
-// LocalEstimate runs the two-pass semi-streaming local triangle estimator
-// (per-vertex counts) at edge-sampling probability p with one sequential
-// copy and returns the local estimates together with run metadata. With
-// p = 1 the counts are exact. It is the backward-compatible wrapper over
-// LocalEstimateContext, which additionally honors Copies, Confidence,
-// Parallel, and Driver.
-func LocalEstimate(s *Stream, p float64, seed uint64) (map[V]float64, Result, error) {
-	return LocalEstimateContext(context.Background(), s, p, Options{Seed: seed})
-}
-
-// LocalEstimateContext runs the local triangle estimator under ctx through
-// the same copies/driver path as EstimateContext: Copies/Confidence select
-// k independent copies (per-copy seeds on the standard schedule), Parallel
-// chooses how they traverse the stream, the returned map is the
+// LocalEstimateContext runs the two-pass semi-streaming local triangle
+// estimator (per-vertex counts) at edge-sampling probability p under ctx,
+// through the same copies/driver path as EstimateContext: Copies/Confidence
+// select k independent copies (per-copy seeds on the standard schedule),
+// Parallel chooses how they traverse the stream, the returned map is the
 // per-vertex median across copies (a vertex untouched by a copy counts as
 // 0 there), Result.Estimate is the median of the copies' global estimates,
-// and Result.SpaceWords their summed peaks. The algorithm is fixed, so
-// opts.Algorithm must be empty, and the sampling probability is the p
-// argument — opts.SampleSize/SampleProb/PairCap/CycleLen must be zero.
-// Cancellation surfaces as ErrCanceled.
+// and Result.SpaceWords their summed peaks. With p = 1 the counts are
+// exact. The algorithm is fixed, so opts.Algorithm must be empty, and the
+// sampling probability is the p argument — opts.SampleSize/SampleProb/
+// PairCap/CycleLen must be zero. Cancellation surfaces as ErrCanceled.
 func LocalEstimateContext(ctx context.Context, s *Stream, p float64, opts Options) (map[V]float64, Result, error) {
 	if opts.Algorithm != "" {
-		return nil, Result{}, fmt.Errorf("%w: LocalEstimate has a fixed algorithm; leave Algorithm empty", ErrInvalidOptions)
+		return nil, Result{}, fmt.Errorf("%w: LocalEstimateContext has a fixed algorithm; leave Algorithm empty", ErrInvalidOptions)
 	}
 	if opts.SampleSize != 0 || opts.SampleProb != 0 || opts.PairCap != 0 || opts.CycleLen != 0 {
-		return nil, Result{}, fmt.Errorf("%w: LocalEstimate takes its sampling probability as the p argument; leave the Options budget fields zero", ErrInvalidOptions)
+		return nil, Result{}, fmt.Errorf("%w: LocalEstimateContext takes its sampling probability as the p argument; leave the Options budget fields zero", ErrInvalidOptions)
 	}
 	chk := opts
 	chk.Algorithm = AlgoExact // stand-in: validates driver/copies/ranges
 	if err := chk.Validate(); err != nil {
 		return nil, Result{}, err
 	}
-	c := opts.copies()
-	copies := make([]*baseline.LocalTriangles, c)
-	ests := make([]stream.Estimator, c)
-	for i := range copies {
-		seed := opts.Seed
-		if c > 1 {
-			seed = opts.Seed + uint64(i)*0x9e37_79b9 + 1
-		}
+	copies, err := buildCopies(opts, 0, opts.copies(), func(seed uint64) (Estimator, error) {
 		alg, err := baseline.NewLocalTriangles(p, seed)
 		if err != nil {
-			return nil, Result{}, fmt.Errorf("%w: %w", ErrInvalidOptions, err)
+			return nil, fmt.Errorf("%w: %w", ErrInvalidOptions, err)
 		}
-		copies[i], ests[i] = alg, alg
+		return alg, nil
+	})
+	if err != nil {
+		return nil, Result{}, err
 	}
-	var st DriverStats
-	var driver Driver
-	if opts.Parallel && c > 1 {
-		var err error
-		if st, err = stream.RunBroadcastContext(ctx, s, ests); err != nil {
-			return nil, Result{}, canceled(err)
-		}
-		driver = DriverBroadcast
-	} else {
-		for _, e := range ests {
-			if err := stream.RunContext(ctx, s, e); err != nil {
-				return nil, Result{}, canceled(err)
-			}
-		}
-	}
-	est, sp := stream.MedianOf(ests)
-	res := Result{
-		Estimate:    est,
-		SpaceWords:  sp,
-		Passes:      copies[0].Passes(),
-		M:           s.M(),
-		Copies:      c,
-		Driver:      driver,
-		DriverStats: st,
+	res, err := opts.medianRun(ctx, s, copies)
+	if err != nil {
+		return nil, Result{}, err
 	}
 	return localMedian(copies), res, nil
 }
 
-// localMedian combines per-copy local counts into the per-vertex median
-// map. A single copy's map is returned as-is (shared; do not modify).
-func localMedian(copies []*baseline.LocalTriangles) map[V]float64 {
-	if len(copies) == 1 {
-		return copies[0].Counts()
+// localMedian combines the local counts of completed LocalTriangles copies
+// into the per-vertex median map. A single copy's map is returned as-is
+// (shared; do not modify).
+func localMedian(copies []Estimator) map[V]float64 {
+	counts := make([]map[V]float64, len(copies))
+	for i, c := range copies {
+		counts[i] = c.(*baseline.LocalTriangles).Counts()
+	}
+	if len(counts) == 1 {
+		return counts[0]
 	}
 	out := make(map[V]float64)
-	vals := make([]float64, len(copies))
-	for _, c := range copies {
-		for v := range c.Counts() {
+	vals := make([]float64, len(counts))
+	for _, cm := range counts {
+		for v := range cm {
 			if _, done := out[v]; done {
 				continue
 			}
-			for i, cc := range copies {
-				vals[i] = cc.Counts()[v] // 0 when the copy never touched v
+			for i, other := range counts {
+				vals[i] = other[v] // 0 when the copy never touched v
 			}
 			out[v] = stats.Median(vals)
 		}
 	}
 	return out
+}
+
+// medianRun runs copies over s with runCopies and reports their median
+// Result.
+func (o Options) medianRun(ctx context.Context, s *Stream, copies []Estimator) (Result, error) {
+	driver, st, err := o.runCopies(ctx, s, copies)
+	if err != nil {
+		return Result{}, err
+	}
+	est, sp := stream.MedianOf(copies)
+	return Result{
+		Estimate:    est,
+		SpaceWords:  sp,
+		Passes:      copies[0].Passes(),
+		M:           s.M(),
+		Copies:      len(copies),
+		Driver:      driver,
+		DriverStats: st,
+	}, nil
 }
 
 // Estimate builds the estimator for opts, runs it over s, and reports the
@@ -728,49 +722,11 @@ func EstimateContext(ctx context.Context, s *Stream, opts Options) (Result, erro
 	if opts.Model == ModelArbitrary {
 		return EstimateArbitraryContext(ctx, NewArbitraryStream(s), opts)
 	}
-	c := opts.copies()
-	if opts.Parallel && c > 1 {
-		copies, err := opts.buildCopies(c)
-		if err != nil {
-			return Result{}, err
-		}
-		est, sp, st, err := stream.MedianBroadcastContext(ctx, s, copies)
-		if err != nil {
-			return Result{}, canceled(err)
-		}
-		return Result{
-			Estimate:    est,
-			SpaceWords:  sp,
-			Passes:      copies[0].Passes(),
-			M:           s.M(),
-			Copies:      c,
-			Driver:      DriverBroadcast,
-			DriverStats: st,
-		}, nil
-	}
-	e, err := NewEstimator(opts)
+	copies, err := buildCopies(opts, 0, opts.copies(), opts.wrapSingle)
 	if err != nil {
 		return Result{}, err
 	}
-	if err := stream.RunContext(ctx, s, e); err != nil {
-		return Result{}, canceled(err)
-	}
-	return Result{
-		Estimate:   e.Estimate(),
-		SpaceWords: e.SpaceWords(),
-		Passes:     e.Passes(),
-		M:          s.M(),
-		Copies:     c,
-	}, nil
-}
-
-// EstimateArbitrary runs an arbitrary-order estimator over an explicit edge
-// stream — the entry point when the input is a raw edge sequence rather
-// than an adjacency-list stream (cyclecount -model arbitrary, arbstream
-// files). It is the backward-compatible wrapper over
-// EstimateArbitraryContext with a context that never fires.
-func EstimateArbitrary(s *ArbitraryStream, opts Options) (Result, error) {
-	return EstimateArbitraryContext(context.Background(), s, opts)
+	return opts.medianRun(ctx, s, copies)
 }
 
 // EstimateArbitraryContext builds opts.copies() independent copies of the
@@ -784,24 +740,18 @@ func EstimateArbitrary(s *ArbitraryStream, opts Options) (Result, error) {
 // ErrCanceled; option errors wrap ErrUnknownAlgorithm or ErrInvalidOptions.
 func EstimateArbitraryContext(ctx context.Context, s *ArbitraryStream, opts Options) (Result, error) {
 	if opts.Model != "" && opts.Model != ModelArbitrary {
-		return Result{}, fmt.Errorf("%w: EstimateArbitrary runs Model %q; got %q", ErrInvalidOptions, ModelArbitrary, opts.Model)
+		return Result{}, fmt.Errorf("%w: EstimateArbitraryContext runs Model %q; got %q", ErrInvalidOptions, ModelArbitrary, opts.Model)
 	}
 	opts.Model = ModelArbitrary
 	if err := opts.Validate(); err != nil {
 		return Result{}, err
 	}
 	c := opts.copies()
-	copies := make([]arbitrary.Estimator, c)
-	for i := range copies {
-		seed := opts.Seed
-		if c > 1 {
-			seed = opts.Seed + uint64(i)*0x9e37_79b9 + 1
-		}
-		e, err := opts.newArbitrary(seed, s.N())
-		if err != nil {
-			return Result{}, err
-		}
-		copies[i] = e
+	copies, err := buildCopies(opts, 0, c, func(seed uint64) (arbitrary.Estimator, error) {
+		return opts.newArbitrary(seed, s.N())
+	})
+	if err != nil {
+		return Result{}, err
 	}
 	if opts.Parallel && c > 1 {
 		errs := make([]error, c)

@@ -2,12 +2,16 @@ package adjstream
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"adjstream/internal/gen"
+	"adjstream/internal/stream"
 )
 
 func TestEstimateExactAlgorithms(t *testing.T) {
@@ -254,14 +258,14 @@ func TestDistinguish(t *testing.T) {
 	}
 
 	// Triangles: full budget must separate the instances.
-	found, res, err := Distinguish(SortedStream(tri), 3, int(tri.M()), 1)
+	found, res, err := DistinguishContext(context.Background(), SortedStream(tri), 3, Options{SampleSize: int(tri.M()), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !found || res.Passes != 2 {
 		t.Fatalf("found=%v passes=%d", found, res.Passes)
 	}
-	found, _, err = Distinguish(SortedStream(free), 3, int(free.M()), 1)
+	found, _, err = DistinguishContext(context.Background(), SortedStream(free), 3, Options{SampleSize: int(free.M()), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +274,7 @@ func TestDistinguish(t *testing.T) {
 	}
 
 	// 4-cycles.
-	found, _, err = Distinguish(SortedStream(free), 4, int(free.M()), 1)
+	found, _, err = DistinguishContext(context.Background(), SortedStream(free), 4, Options{SampleSize: int(free.M()), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +283,7 @@ func TestDistinguish(t *testing.T) {
 	}
 
 	// ℓ = 5: exact path, O(m) space.
-	found, res, err = Distinguish(SortedStream(c5), 5, 0, 1)
+	found, res, err = DistinguishContext(context.Background(), SortedStream(c5), 5, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +291,7 @@ func TestDistinguish(t *testing.T) {
 		t.Fatalf("found=%v space=%d", found, res.SpaceWords)
 	}
 
-	if _, _, err := Distinguish(SortedStream(free), 2, 0, 1); err == nil {
+	if _, _, err := DistinguishContext(context.Background(), SortedStream(free), 2, Options{Seed: 1}); err == nil {
 		t.Fatal("expected error for cycleLen < 3")
 	}
 }
@@ -305,7 +309,7 @@ func TestAdaptiveViaFacade(t *testing.T) {
 
 func TestLocalEstimateFacade(t *testing.T) {
 	g := gen.Friendship(6)
-	counts, res, err := LocalEstimate(SortedStream(g), 1, 1)
+	counts, res, err := LocalEstimateContext(context.Background(), SortedStream(g), 1, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +319,36 @@ func TestLocalEstimateFacade(t *testing.T) {
 	if math.Abs(res.Estimate-6) > 1e-9 {
 		t.Fatalf("global = %v", res.Estimate)
 	}
-	if _, _, err := LocalEstimate(SortedStream(g), 0, 1); err == nil {
+	if _, _, err := LocalEstimateContext(context.Background(), SortedStream(g), 0, Options{Seed: 1}); err == nil {
 		t.Fatal("expected error for p=0")
+	}
+}
+
+// NewEstimator builds exactly one copy: asking it for a median of copies is
+// an option error that points at EstimateContext, and its single copy
+// reproduces a one-copy EstimateContext run.
+func TestNewEstimatorBuildsOneCopy(t *testing.T) {
+	for _, opts := range []Options{
+		{Algorithm: AlgoTwoPassTriangle, SampleProb: 0.5, Copies: 3, Seed: 1},
+		{Algorithm: AlgoTwoPassTriangle, SampleProb: 0.5, Confidence: 0.9, Seed: 1},
+	} {
+		_, err := NewEstimator(opts)
+		if !errors.Is(err, ErrInvalidOptions) || !strings.Contains(err.Error(), "EstimateContext") {
+			t.Errorf("NewEstimator(%+v) = %v, want ErrInvalidOptions naming EstimateContext", opts, err)
+		}
+	}
+	s := SortedStream(gen.Complete(9))
+	opts := Options{Algorithm: AlgoTwoPassTriangle, SampleProb: 0.5, Copies: 1, Seed: 1}
+	e, err := NewEstimator(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, sp := stream.Estimate(s, e)
+	res, err := EstimateContext(context.Background(), s, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est != res.Estimate || sp != res.SpaceWords {
+		t.Errorf("NewEstimator copy (%v, %d) != EstimateContext (%v, %d)", est, sp, res.Estimate, res.SpaceWords)
 	}
 }

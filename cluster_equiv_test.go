@@ -130,6 +130,19 @@ func TestClusterByteIdenticalAllAlgorithms(t *testing.T) {
 				}
 			})
 		}
+		// A request naming its model gets the model echoed back, proxied
+		// or not.
+		t.Run(fmt.Sprintf("%d-replica/explicit-model", n), func(t *testing.T) {
+			body := `{"graph":"er120","model":"adjacency-list","algorithm":"twopass-triangle","sample_size":64,"copies":3,"parallel":true,"seed":5}`
+			wantStatus, want := ask(t, single.URL, "/v1/estimate", body)
+			gotStatus, got := ask(t, proxy.URL, "/v1/estimate", body)
+			if gotStatus != wantStatus || got != want {
+				t.Errorf("proxied (%d): %s\nsingle (%d): %s", gotStatus, got, wantStatus, want)
+			}
+			if !strings.Contains(want, `"model":"adjacency-list"`) {
+				t.Errorf("single-node body %s does not echo the model", want)
+			}
+		})
 	}
 }
 
@@ -140,15 +153,20 @@ func TestClusterByteIdenticalDistinguish(t *testing.T) {
 	for _, tc := range []struct {
 		graph    string
 		cycleLen int
+		model    string
 	}{
-		{"tri48", 3}, {"c4x48", 3}, {"c4x48", 4}, {"tri48", 4}, {"er120", 5},
+		{"tri48", 3, ""}, {"c4x48", 3, ""}, {"c4x48", 4, ""}, {"tri48", 4, ""}, {"er120", 5, ""},
+		{"tri48", 3, "adjacency-list"}, {"c4x48", 4, "adjacency-list"},
 	} {
 		body := fmt.Sprintf(`{"graph":%q,"cycle_len":%d,"copies":3,"seed":7}`, tc.graph, tc.cycleLen)
+		if tc.model != "" {
+			body = fmt.Sprintf(`{"graph":%q,"model":%q,"cycle_len":%d,"copies":3,"seed":7}`, tc.graph, tc.model, tc.cycleLen)
+		}
 		wantStatus, want := ask(t, single.URL, "/v1/distinguish", body)
 		gotStatus, got := ask(t, proxy.URL, "/v1/distinguish", body)
 		if gotStatus != wantStatus || got != want {
-			t.Errorf("%s C%d: proxied (%d) %s != single (%d) %s",
-				tc.graph, tc.cycleLen, gotStatus, got, wantStatus, want)
+			t.Errorf("%s C%d model %q: proxied (%d) %s != single (%d) %s",
+				tc.graph, tc.cycleLen, tc.model, gotStatus, got, wantStatus, want)
 		}
 	}
 }

@@ -113,7 +113,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	snapshot := fs.String("snapshot", "", "write per-copy snapshots to this file instead of printing an estimate; merge shards with adjmerge")
 	seed := fs.Uint64("seed", 1, "seed for all randomness")
 	order := fs.String("order", "sorted", "stream order for edge-list input: sorted or random")
-	isStream := fs.Bool("stream", false, "input is an adjacency-list stream file (text, adj1 binary, or adjC columnar; columnar files are memory-mapped), not an edge list")
+	isStream := fs.Bool("stream", false, "input is an adjacency-list stream file (text or adjC columnar; columnar files are memory-mapped), not an edge list")
 	compare := fs.Bool("compare", false, "run every algorithm at the given budget and tabulate")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")

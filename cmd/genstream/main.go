@@ -1,12 +1,12 @@
 // Command genstream generates synthetic workload graphs (the repository's
 // substitutes for the datasets the paper does not ship) and writes them as
-// edge lists or adjacency-list streams (text or binary).
+// edge lists or adjacency-list streams (text or "adjC" columnar).
 //
 // Usage:
 //
 //	genstream -kind er -n 1000 -p 0.01 -out g.edges
 //	genstream -kind planted -t 500 -side 100 -p 0.2 -format stream -out g.stream
-//	genstream -kind torus -n 20 -side 20 -format binstream -out torus.adjb
+//	genstream -kind torus -n 20 -side 20 -format colstream -out torus.adjc
 //	genstream -kind plane -q 7 -out plane.edges
 //	genstream -kind butterflies -format arbstream -out g.arb   # arbitrary-order edge stream
 //
@@ -46,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	q := fs.Int64("q", 5, "projective plane order (prime power)")
 	gamma := fs.Float64("gamma", 2.5, "power-law exponent (chunglu)")
 	seed := fs.Uint64("seed", 1, "seed")
-	format := fs.String("format", "edges", "output format: edges, arbstream (seed-shuffled edge list for -model arbitrary runs), stream, binstream, or colstream (mmap-able columnar)")
+	format := fs.String("format", "edges", "output format: edges, arbstream (seed-shuffled edge list for -model arbitrary runs), stream, or colstream (mmap-able columnar)")
 	order := fs.String("order", "random", "stream order: sorted or random (with stream formats)")
 	out := fs.String("out", "", "output path (default stdout)")
 	if err := fs.Parse(args); err != nil {
@@ -74,19 +74,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		err = adjstream.WriteEdgeList(w, g)
 	case "arbstream":
 		err = writeArbStream(w, g, *seed)
-	case "stream", "binstream", "colstream":
+	case "stream", "colstream":
 		var s *adjstream.Stream
 		if *order == "sorted" {
 			s = adjstream.SortedStream(g)
 		} else {
 			s = adjstream.RandomStream(g, *seed)
 		}
-		switch *format {
-		case "stream":
+		if *format == "stream" {
 			err = adjstream.WriteStream(w, s)
-		case "binstream":
-			err = stream.WriteBinary(w, s)
-		case "colstream":
+		} else {
 			err = stream.WriteColumnar(w, s)
 		}
 	default:

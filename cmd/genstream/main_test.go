@@ -2,8 +2,8 @@ package main
 
 import (
 	"bytes"
-	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"adjstream"
@@ -47,23 +47,11 @@ func TestRunStreamFormats(t *testing.T) {
 		t.Fatalf("M = %d", s.M())
 	}
 
-	binPath := filepath.Join(dir, "g.adjb")
+	// The retired "adj1" binary format is no longer written.
 	out.Reset()
 	errw.Reset()
-	if code := run([]string{"-kind", "complete", "-n", "6", "-format", "binstream", "-out", binPath}, &out, &errw); code != 0 {
-		t.Fatalf("exit: %s", errw.String())
-	}
-	f, err := os.Open(binPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	s2, err := stream.ReadBinary(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.M() != 15 {
-		t.Fatalf("binary M = %d", s2.M())
+	if code := run([]string{"-kind", "complete", "-n", "6", "-format", "binstream", "-out", filepath.Join(dir, "g.adjb")}, &out, &errw); code == 0 || !strings.Contains(errw.String(), "unknown format") {
+		t.Fatalf("-format binstream: exit %d, stderr %q; want an unknown-format failure", code, errw.String())
 	}
 
 	colPath := filepath.Join(dir, "g.adjc")

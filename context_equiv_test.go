@@ -1,11 +1,10 @@
 package adjstream
 
 // Equivalence and cancellation tests for the context-aware API v2. The
-// contract under test: with a context that never fires, EstimateContext,
-// DistinguishContext, and LocalEstimateContext are bit-identical to their
-// context-free wrappers for every algorithm, sequential and broadcast (the
-// context checks live at chunk boundaries and must not perturb a single
-// number); once a context fires, every entry point surfaces ErrCanceled,
+// contract under test: with a context that never fires, EstimateContext is
+// bit-identical to its context-free wrapper Estimate for every algorithm,
+// sequential and broadcast (the context checks live at chunk boundaries and
+// must not perturb a single number); once a context fires, every entry point surfaces ErrCanceled,
 // wraps the context's own error, and leaks no goroutines; and the retired
 // "replay" driver is an option error on every path.
 
@@ -166,9 +165,8 @@ func TestEstimateContextDeadlineMidRun(t *testing.T) {
 }
 
 // TestDistinguishDriverPathEquivalence checks the decision problem's
-// routing: it honors Copies/Parallel/Driver, the broadcast and sequential
-// median runs agree bit-for-bit, and the context-free wrapper matches the
-// single-copy path.
+// routing: it honors Copies/Parallel/Driver, and the broadcast and
+// sequential median runs agree bit-for-bit.
 func TestDistinguishDriverPathEquivalence(t *testing.T) {
 	s := equivStream(t)
 	for _, cycleLen := range []int{3, 4, 5} {
@@ -192,26 +190,12 @@ func TestDistinguishDriverPathEquivalence(t *testing.T) {
 		if rb.Copies != 5 {
 			t.Errorf("len %d: Copies = %d, want 5 (driver path not honored)", cycleLen, rb.Copies)
 		}
-
-		// The legacy wrapper is exactly the single-copy context path.
-		wf, wr, err := Distinguish(s, cycleLen, 64, 17)
-		if err != nil {
-			t.Fatalf("len %d wrapper: %v", cycleLen, err)
-		}
-		cf, cr, err := DistinguishContext(context.Background(), s, cycleLen, Options{SampleSize: 64, Seed: 17})
-		if err != nil {
-			t.Fatalf("len %d context single: %v", cycleLen, err)
-		}
-		if wf != cf || wr != cr {
-			t.Errorf("len %d: Distinguish (%v %+v) != DistinguishContext (%v %+v)", cycleLen, wf, wr, cf, cr)
-		}
 	}
 }
 
 // TestLocalEstimateDriverPathEquivalence checks the same routing for the
 // local (per-vertex) estimator: the broadcast driver, named or left empty,
-// and the sequential path agree on every vertex, and the wrapper matches
-// the context path.
+// and the sequential path agree on every vertex.
 func TestLocalEstimateDriverPathEquivalence(t *testing.T) {
 	s := equivStream(t)
 	const p = 0.5
@@ -241,23 +225,6 @@ func TestLocalEstimateDriverPathEquivalence(t *testing.T) {
 		if results[shape].Estimate != results["sequential"].Estimate ||
 			results[shape].SpaceWords != results["sequential"].SpaceWords {
 			t.Errorf("%s result %+v != sequential %+v", shape, results[shape], results["sequential"])
-		}
-	}
-
-	wm, wr, err := LocalEstimate(s, p, 23)
-	if err != nil {
-		t.Fatalf("LocalEstimate: %v", err)
-	}
-	cm, cr, err := LocalEstimateContext(context.Background(), s, p, Options{Seed: 23})
-	if err != nil {
-		t.Fatalf("LocalEstimateContext: %v", err)
-	}
-	if wr != cr || len(wm) != len(cm) {
-		t.Fatalf("wrapper (%d vertices, %+v) != context (%d vertices, %+v)", len(wm), wr, len(cm), cr)
-	}
-	for v, want := range cm {
-		if wm[v] != want {
-			t.Errorf("vertex %d: wrapper %v != context %v", v, wm[v], want)
 		}
 	}
 }

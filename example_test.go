@@ -1,6 +1,7 @@
 package adjstream_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -70,7 +71,7 @@ func ExampleEstimate_exactLongCycles() {
 }
 
 // Per-vertex (local) triangle counts.
-func ExampleLocalEstimate() {
+func ExampleLocalEstimateContext() {
 	// Two triangles sharing vertex 0.
 	g, err := adjstream.FromEdges([]adjstream.Edge{
 		{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2},
@@ -79,7 +80,7 @@ func ExampleLocalEstimate() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	counts, _, err := adjstream.LocalEstimate(adjstream.SortedStream(g), 1, 1)
+	counts, _, err := adjstream.LocalEstimateContext(context.Background(), adjstream.SortedStream(g), 1, adjstream.Options{Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,10 +1,11 @@
 // Adaptive estimation and distinguishing: the deployable workflow when the
 // triangle count T is unknown. The paper's budgets are stated in T; the
-// adaptive estimator discovers its own budget online, and the Distinguish
-// API answers the paper's decision problems directly.
+// adaptive estimator discovers its own budget online, and
+// DistinguishContext answers the paper's decision problems directly.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -43,7 +44,7 @@ func main() {
 
 	// Distinguishing: the paper's decision problems, one call each.
 	for _, l := range []int{3, 4, 5} {
-		found, dres, err := adjstream.Distinguish(s, l, 0, 9)
+		found, dres, err := adjstream.DistinguishContext(context.Background(), s, l, adjstream.Options{Seed: 9})
 		if err != nil {
 			log.Fatal(err)
 		}

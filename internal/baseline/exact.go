@@ -16,9 +16,6 @@ type ExactStream struct {
 	builder  *graph.Builder
 	items    int64
 	meter    space.Meter
-
-	// Restored-run summary (state.go); nil unless Restore was called.
-	snap *stream.CopyState
 }
 
 var _ stream.Estimator = (*ExactStream)(nil)
@@ -58,9 +55,6 @@ func (e *ExactStream) EndPass(p int) {}
 
 // Estimate returns the exact cycle count.
 func (e *ExactStream) Estimate() float64 {
-	if e.snap != nil {
-		return e.snap.Estimate
-	}
 	g := e.builder.Graph()
 	n, err := g.CountCycles(e.cycleLen)
 	if err != nil {
@@ -71,16 +65,10 @@ func (e *ExactStream) Estimate() float64 {
 
 // SpaceWords implements stream.Estimator.
 func (e *ExactStream) SpaceWords() int64 {
-	if e.snap != nil {
-		return e.snap.SpaceWords
-	}
 	return e.meter.Peak()
 }
 
 // M returns the measured edge count.
 func (e *ExactStream) M() int64 {
-	if e.snap != nil {
-		return e.snap.M
-	}
 	return e.builder.M()
 }

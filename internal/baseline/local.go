@@ -29,9 +29,6 @@ type LocalTriangles struct {
 	items  int64
 	m      int64
 	meter  space.Meter
-
-	// Restored-run summary (state.go); nil unless Restore was called.
-	snap *stream.CopyState
 }
 
 // detectorLite reuses the core detection idea locally: sampled edges with
@@ -148,9 +145,6 @@ func (l *LocalTriangles) Counts() map[graph.V]float64 { return l.counts }
 
 // Estimate returns the implied global triangle count Σ local / 3.
 func (l *LocalTriangles) Estimate() float64 {
-	if l.snap != nil {
-		return l.snap.Estimate
-	}
 	// Sum in sorted vertex order: map iteration order is randomized, and
 	// a fixed summation order keeps the estimate bit-deterministic across
 	// runs and execution drivers.
@@ -168,9 +162,6 @@ func (l *LocalTriangles) Estimate() float64 {
 
 // SpaceWords implements stream.Estimator.
 func (l *LocalTriangles) SpaceWords() int64 {
-	if l.snap != nil {
-		return l.snap.SpaceWords
-	}
 	return l.meter.Peak()
 }
 

@@ -57,7 +57,6 @@ type oneRec struct {
 // appearance precedes the third vertex's list), so the estimate is
 // scale·N/2.
 type OnePassTriangle struct {
-	cfg      Config
 	sampler  sampling.EdgeSampler
 	recs     map[graph.Edge]*oneRec
 	byVertex map[graph.V][]*oneRec
@@ -67,9 +66,6 @@ type OnePassTriangle struct {
 	m     int64
 	found int64
 	meter space.Meter
-
-	// Restored-run summary (state.go); nil unless Restore was called.
-	snap *stream.CopyState
 }
 
 var _ stream.Estimator = (*OnePassTriangle)(nil)
@@ -80,7 +76,6 @@ func NewOnePassTriangle(cfg Config) (*OnePassTriangle, error) {
 		return nil, err
 	}
 	o := &OnePassTriangle{
-		cfg:      cfg,
 		recs:     make(map[graph.Edge]*oneRec),
 		byVertex: make(map[graph.V][]*oneRec),
 	}
@@ -154,9 +149,6 @@ func (o *OnePassTriangle) EndPass(p int) { o.m = o.items / 2 }
 
 // Estimate returns scale·N/2 (two detectable edges per triangle).
 func (o *OnePassTriangle) Estimate() float64 {
-	if o.snap != nil {
-		return o.snap.Estimate
-	}
 	return o.sampler.InclusionScale(o.m) * float64(o.found) / 2
 }
 
@@ -168,9 +160,6 @@ func (o *OnePassTriangle) PairsDiscovered() int64 { return o.found }
 
 // SpaceWords implements stream.Estimator.
 func (o *OnePassTriangle) SpaceWords() int64 {
-	if o.snap != nil {
-		return o.snap.SpaceWords
-	}
 	return o.meter.Peak()
 }
 

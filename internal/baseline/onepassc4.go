@@ -15,7 +15,6 @@ import (
 // detection probability collapses to (m′/m)⁴-level — experiment T1.R10
 // uses it to show the lower bound biting a concrete algorithm.
 type OnePassFourCycle struct {
-	cfg     Config
 	sampler sampling.EdgeSampler
 	builder *graph.Builder
 	evicted map[graph.Edge]bool
@@ -23,10 +22,6 @@ type OnePassFourCycle struct {
 	items int64
 	m     int64
 	meter space.Meter
-
-	// Restored-run summary (state.go); nil unless Restore was called.
-	snap         *stream.CopyState
-	snapDetected bool
 }
 
 var _ stream.Estimator = (*OnePassFourCycle)(nil)
@@ -36,7 +31,7 @@ func NewOnePassFourCycle(cfg Config) (*OnePassFourCycle, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	o := &OnePassFourCycle{cfg: cfg, builder: graph.NewBuilder(), evicted: make(map[graph.Edge]bool)}
+	o := &OnePassFourCycle{builder: graph.NewBuilder(), evicted: make(map[graph.Edge]bool)}
 	sampler, err := cfg.newSampler(func(e graph.Edge) {
 		// The builder cannot delete; remember evictions and filter at the
 		// end (bottom-k churn is modest at the budgets this is used with).
@@ -96,9 +91,6 @@ func (o *OnePassFourCycle) sampleGraph() *graph.Graph {
 // makes the estimator useless at sublinear budgets, exactly as Theorem 5.3
 // requires.
 func (o *OnePassFourCycle) Estimate() float64 {
-	if o.snap != nil {
-		return o.snap.Estimate
-	}
 	g := o.sampleGraph()
 	inSample := g.FourCycles()
 	scale := o.sampler.InclusionScale(o.m)
@@ -107,17 +99,11 @@ func (o *OnePassFourCycle) Estimate() float64 {
 
 // Detected reports whether any 4-cycle survived in the sample.
 func (o *OnePassFourCycle) Detected() bool {
-	if o.snap != nil {
-		return o.snapDetected
-	}
 	return o.sampleGraph().FourCycles() > 0
 }
 
 // SpaceWords implements stream.Estimator.
 func (o *OnePassFourCycle) SpaceWords() int64 {
-	if o.snap != nil {
-		return o.snap.SpaceWords
-	}
 	return o.meter.Peak()
 }
 

@@ -2,135 +2,28 @@ package baseline
 
 import (
 	"encoding/binary"
-	"fmt"
-	"math"
-	"sort"
 
-	"adjstream/internal/graph"
 	"adjstream/internal/stream"
 )
 
-// Mergeable/serializable state for the baseline algorithms (see
+// Snapshots of the baseline estimators a facade algorithm selects (see
 // internal/stream/state.go for the contract and internal/core/state.go for
-// the core counterparts). StreamStats is Algorithm-only — it has no
-// Estimate — so it gets Snapshotter plus a typed Fork rather than the full
-// MergeableEstimator; its snapshot restores every real counter, making it
-// the one algorithm whose restore is a complete state restore.
+// the core counterparts).
 //
 // Extra payloads (fixed 64-bit little-endian fields, in order):
 //
 //	onepass-triangle  detections (N)
-//	onepass-fourcycle detected flag (0/1)
 //	wedge-sampler     closed wedges, wedges formed
-//	local-triangles   count n, then n × (vertex, count float64 bits),
-//	                  sorted by vertex
 //	exact             cycle length
-//	stream-stats      items, lists, max degree, P2, Σ deg²
 
-var (
-	_ stream.MergeableEstimator = (*OnePassTriangle)(nil)
-	_ stream.MergeableEstimator = (*OnePassFourCycle)(nil)
-	_ stream.MergeableEstimator = (*WedgeSampler)(nil)
-	_ stream.MergeableEstimator = (*LocalTriangles)(nil)
-	_ stream.MergeableEstimator = (*ExactStream)(nil)
-	_ stream.Snapshotter        = (*StreamStats)(nil)
-)
-
-// appendU64 / readU64 are the Extra field codec.
+// appendU64 is the Extra field codec.
 func appendU64(b []byte, v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(b, v)
-}
-
-func readU64(b []byte, n int) ([]uint64, error) {
-	if len(b) != 8*n {
-		return nil, fmt.Errorf("baseline: extra payload is %d bytes, want %d", len(b), 8*n)
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint64(b[8*i:])
-	}
-	return out, nil
-}
-
-// Fork implements stream.MergeableEstimator.
-func (o *OnePassTriangle) Fork(seed uint64) stream.MergeableEstimator {
-	cfg := o.cfg
-	cfg.Seed = seed
-	no, err := NewOnePassTriangle(cfg)
-	if err != nil {
-		panic("baseline: Fork from validated config: " + err.Error())
-	}
-	return no
 }
 
 // Snapshot implements stream.Snapshotter.
 func (o *OnePassTriangle) Snapshot() []byte {
 	return stream.SnapshotOf("onepass-triangle", o, o.M(), appendU64(nil, uint64(o.found)))
-}
-
-// Restore implements stream.Snapshotter. found is restored for real, so
-// Detected and PairsDiscovered keep answering.
-func (o *OnePassTriangle) Restore(b []byte) error {
-	st, err := stream.DecodeRestore(b, "onepass-triangle")
-	if err != nil {
-		return err
-	}
-	xs, err := readU64(st.Extra, 1)
-	if err != nil {
-		return err
-	}
-	o.m = st.M
-	o.found = int64(xs[0])
-	o.snap = st
-	return nil
-}
-
-// Fork implements stream.MergeableEstimator.
-func (o *OnePassFourCycle) Fork(seed uint64) stream.MergeableEstimator {
-	cfg := o.cfg
-	cfg.Seed = seed
-	no, err := NewOnePassFourCycle(cfg)
-	if err != nil {
-		panic("baseline: Fork from validated config: " + err.Error())
-	}
-	return no
-}
-
-// Snapshot implements stream.Snapshotter.
-func (o *OnePassFourCycle) Snapshot() []byte {
-	var det uint64
-	if o.Detected() {
-		det = 1
-	}
-	return stream.SnapshotOf("onepass-fourcycle", o, o.M(), appendU64(nil, det))
-}
-
-// Restore implements stream.Snapshotter. The sampled subgraph is not
-// reconstructed; Detected answers from the snapshot flag.
-func (o *OnePassFourCycle) Restore(b []byte) error {
-	st, err := stream.DecodeRestore(b, "onepass-fourcycle")
-	if err != nil {
-		return err
-	}
-	xs, err := readU64(st.Extra, 1)
-	if err != nil {
-		return err
-	}
-	o.m = st.M
-	o.snapDetected = xs[0] != 0
-	o.snap = st
-	return nil
-}
-
-// Fork implements stream.MergeableEstimator.
-func (w *WedgeSampler) Fork(seed uint64) stream.MergeableEstimator {
-	cfg := w.cfg
-	cfg.Seed = seed
-	nw, err := NewWedgeSampler(cfg)
-	if err != nil {
-		panic("baseline: Fork from validated config: " + err.Error())
-	}
-	return nw
 }
 
 // Snapshot implements stream.Snapshotter.
@@ -140,139 +33,7 @@ func (w *WedgeSampler) Snapshot() []byte {
 	return stream.SnapshotOf("wedge-sampler", w, w.M(), extra)
 }
 
-// Restore implements stream.Snapshotter. closed and formed are restored for
-// real, so ClosedWedges and WedgesFormed keep answering.
-func (w *WedgeSampler) Restore(b []byte) error {
-	st, err := stream.DecodeRestore(b, "wedge-sampler")
-	if err != nil {
-		return err
-	}
-	xs, err := readU64(st.Extra, 2)
-	if err != nil {
-		return err
-	}
-	w.m = st.M
-	w.closed = int64(xs[0])
-	w.formed = int64(xs[1])
-	w.snap = st
-	return nil
-}
-
-// Fork implements stream.MergeableEstimator.
-func (l *LocalTriangles) Fork(seed uint64) stream.MergeableEstimator {
-	nl, err := NewLocalTriangles(l.p, seed)
-	if err != nil {
-		panic("baseline: Fork from validated config: " + err.Error())
-	}
-	return nl
-}
-
-// Snapshot implements stream.Snapshotter. The per-vertex counts are the
-// whole point of a local counter, so the snapshot carries all of them
-// (sorted by vertex for a deterministic encoding).
-func (l *LocalTriangles) Snapshot() []byte {
-	vs := make([]graph.V, 0, len(l.counts))
-	for v := range l.counts {
-		vs = append(vs, v)
-	}
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	extra := appendU64(nil, uint64(len(vs)))
-	for _, v := range vs {
-		extra = appendU64(extra, uint64(int64(v)))
-		extra = appendU64(extra, math.Float64bits(l.counts[v]))
-	}
-	return stream.SnapshotOf("local-triangles", l, l.M(), extra)
-}
-
-// Restore implements stream.Snapshotter. The full count map is restored, so
-// Local and Counts keep answering.
-func (l *LocalTriangles) Restore(b []byte) error {
-	st, err := stream.DecodeRestore(b, "local-triangles")
-	if err != nil {
-		return err
-	}
-	if len(st.Extra) < 8 {
-		return fmt.Errorf("baseline: local-triangles extra payload is %d bytes, want >= 8", len(st.Extra))
-	}
-	n := binary.LittleEndian.Uint64(st.Extra)
-	xs, err := readU64(st.Extra[8:], int(2*n))
-	if err != nil {
-		return err
-	}
-	counts := make(map[graph.V]float64, n)
-	for i := uint64(0); i < n; i++ {
-		counts[graph.V(int64(xs[2*i]))] = math.Float64frombits(xs[2*i+1])
-	}
-	l.m = st.M
-	l.counts = counts
-	l.snap = st
-	return nil
-}
-
-// Fork implements stream.MergeableEstimator. ExactStream consumes no
-// randomness; the seed is ignored.
-func (e *ExactStream) Fork(seed uint64) stream.MergeableEstimator {
-	ne, err := NewExactStream(e.cycleLen)
-	if err != nil {
-		panic("baseline: Fork from validated config: " + err.Error())
-	}
-	return ne
-}
-
 // Snapshot implements stream.Snapshotter.
 func (e *ExactStream) Snapshot() []byte {
 	return stream.SnapshotOf("exact", e, e.M(), appendU64(nil, uint64(e.cycleLen)))
-}
-
-// Restore implements stream.Snapshotter. The stored edge set is not
-// reconstructed — only the summary. The cycle length must match.
-func (e *ExactStream) Restore(b []byte) error {
-	st, err := stream.DecodeRestore(b, "exact")
-	if err != nil {
-		return err
-	}
-	xs, err := readU64(st.Extra, 1)
-	if err != nil {
-		return err
-	}
-	if int(xs[0]) != e.cycleLen {
-		return fmt.Errorf("baseline: exact snapshot counts %d-cycles, receiver counts %d-cycles", xs[0], e.cycleLen)
-	}
-	e.snap = st
-	return nil
-}
-
-// Fork returns a fresh StreamStats; the counter consumes no randomness.
-func (c *StreamStats) Fork(seed uint64) *StreamStats { return NewStreamStats() }
-
-// Snapshot implements stream.Snapshotter. StreamStats has no estimate; the
-// summary's Estimate field is zero and every counter lives in Extra.
-func (c *StreamStats) Snapshot() []byte {
-	extra := appendU64(nil, uint64(c.items))
-	extra = appendU64(extra, uint64(c.lists))
-	extra = appendU64(extra, uint64(c.maxDeg))
-	extra = appendU64(extra, uint64(c.p2))
-	extra = appendU64(extra, uint64(c.degSq))
-	st := stream.CopyState{Algo: "stream-stats", Passes: 1, M: c.M(), Extra: extra}
-	return st.Encode()
-}
-
-// Restore implements stream.Snapshotter. All counters are real state, so
-// the restore is complete: every accessor (including Transitivity) answers
-// as the original would.
-func (c *StreamStats) Restore(b []byte) error {
-	st, err := stream.DecodeRestore(b, "stream-stats")
-	if err != nil {
-		return err
-	}
-	xs, err := readU64(st.Extra, 5)
-	if err != nil {
-		return err
-	}
-	c.items = int64(xs[0])
-	c.lists = int64(xs[1])
-	c.maxDeg = int64(xs[2])
-	c.p2 = int64(xs[3])
-	c.degSq = int64(xs[4])
-	return nil
 }

@@ -1,11 +1,11 @@
 package baseline
 
-// Fork/Snapshot/Restore round-trips for the baseline algorithms, mirroring
-// internal/core/state_test.go: restored copies answer the documented
-// accessors as the original did and re-encode byte-identically.
+// Snapshots of the baseline estimators a facade algorithm selects,
+// mirroring internal/core/state_test.go: the decoded CopyState answers
+// exactly what the live copy's accessors answer.
 
 import (
-	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"adjstream/internal/gen"
@@ -21,188 +21,70 @@ func stateStream(t testing.TB) *stream.Stream {
 	return stream.Random(g, 3)
 }
 
-func checkStateRoundTrip(t *testing.T, name string, orig stream.MergeableEstimator, s *stream.Stream) {
-	t.Helper()
-	stream.Run(s, orig)
-	snap := orig.Snapshot()
-	st, err := stream.DecodeCopyState(snap)
-	if err != nil {
-		t.Fatalf("%s: decode own snapshot: %v", name, err)
-	}
-	if st.Estimate != orig.Estimate() || st.SpaceWords != orig.SpaceWords() || st.Passes != int64(orig.Passes()) {
-		t.Errorf("%s: snapshot summary %+v diverges from live copy (est %v, space %d, passes %d)",
-			name, st, orig.Estimate(), orig.SpaceWords(), orig.Passes())
-	}
-	fresh := orig.Fork(999)
-	if err := fresh.Restore(snap); err != nil {
-		t.Fatalf("%s: restore: %v", name, err)
-	}
-	if fresh.Estimate() != orig.Estimate() || fresh.SpaceWords() != orig.SpaceWords() || fresh.Passes() != orig.Passes() {
-		t.Errorf("%s: restored copy answers (est %v, space %d, passes %d), want (%v, %d, %d)",
-			name, fresh.Estimate(), fresh.SpaceWords(), fresh.Passes(),
-			orig.Estimate(), orig.SpaceWords(), orig.Passes())
-	}
-	if !bytes.Equal(fresh.Snapshot(), snap) {
-		t.Errorf("%s: re-snapshot of restored copy is not byte-identical", name)
-	}
-	if err := fresh.Restore((&stream.CopyState{Algo: "not-" + name, Passes: 1}).Encode()); err == nil {
-		t.Errorf("%s: restore accepted a foreign algorithm tag", name)
-	}
+// snapshotEstimator is a copy a split run can merge.
+type snapshotEstimator interface {
+	stream.Estimator
+	stream.Snapshotter
+	M() int64
 }
 
-func checkForkDeterminism(t *testing.T, name string, mk func(seed uint64) stream.MergeableEstimator, s *stream.Stream) {
+// checkSnapshot runs e over s, decodes its snapshot and compares every
+// field with e's live accessors; extra lists the live values of the Extra
+// fields, in wire order.
+func checkSnapshot(t *testing.T, algo string, e snapshotEstimator, s *stream.Stream, extra func() []uint64) {
 	t.Helper()
-	forked := mk(1).Fork(77)
-	direct := mk(77)
-	stream.Run(s, forked)
-	stream.Run(s, direct)
-	if forked.Estimate() != direct.Estimate() {
-		t.Errorf("%s: Fork(77) estimate %v != constructed-with-77 estimate %v",
-			name, forked.Estimate(), direct.Estimate())
+	stream.Run(s, e)
+	st, err := stream.DecodeCopyState(e.Snapshot())
+	if err != nil {
+		t.Fatalf("%s: decode own snapshot: %v", algo, err)
 	}
-	if !bytes.Equal(forked.Snapshot(), direct.Snapshot()) {
-		t.Errorf("%s: Fork(77) snapshot diverges from constructed-with-77", name)
+	if st.Algo != algo || st.Estimate != e.Estimate() || st.SpaceWords != e.SpaceWords() ||
+		st.Passes != int64(e.Passes()) || st.M != e.M() {
+		t.Errorf("%s: snapshot %+v diverges from the live copy (est %v, space %d, passes %d, m %d)",
+			algo, st, e.Estimate(), e.SpaceWords(), e.Passes(), e.M())
+	}
+	if e.M() != s.M() {
+		t.Errorf("%s: live m = %d, stream m = %d", algo, e.M(), s.M())
+	}
+	want := extra()
+	if len(st.Extra) != 8*len(want) {
+		t.Fatalf("%s: extra payload is %d bytes, want %d", algo, len(st.Extra), 8*len(want))
+	}
+	for i, w := range want {
+		if got := binary.LittleEndian.Uint64(st.Extra[8*i:]); got != w {
+			t.Errorf("%s: extra field %d = %d, live accessor %d", algo, i, got, w)
+		}
 	}
 }
 
 func TestOnePassTriangleState(t *testing.T) {
-	s := stateStream(t)
-	mk := func(seed uint64) stream.MergeableEstimator {
-		alg, err := NewOnePassTriangle(Config{SampleProb: 0.6, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return alg
-	}
-	orig := mk(11).(*OnePassTriangle)
-	checkStateRoundTrip(t, "onepass-triangle", orig, s)
-	restored := orig.Fork(5).(*OnePassTriangle)
-	if err := restored.Restore(orig.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if restored.M() != orig.M() || restored.Detected() != orig.Detected() {
-		t.Errorf("restored M/detected = %d/%v, want %d/%v",
-			restored.M(), restored.Detected(), orig.M(), orig.Detected())
-	}
-	checkForkDeterminism(t, "onepass-triangle", mk, s)
-}
-
-func TestOnePassFourCycleState(t *testing.T) {
-	s := stateStream(t)
-	mk := func(seed uint64) stream.MergeableEstimator {
-		alg, err := NewOnePassFourCycle(Config{SampleProb: 0.6, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return alg
-	}
-	orig := mk(11).(*OnePassFourCycle)
-	checkStateRoundTrip(t, "onepass-fourcycle", orig, s)
-	restored := orig.Fork(5).(*OnePassFourCycle)
-	if err := restored.Restore(orig.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if restored.M() != orig.M() || restored.Detected() != orig.Detected() {
-		t.Errorf("restored M/detected = %d/%v, want %d/%v",
-			restored.M(), restored.Detected(), orig.M(), orig.Detected())
-	}
-	checkForkDeterminism(t, "onepass-fourcycle", mk, s)
-}
-
-func TestWedgeSamplerState(t *testing.T) {
-	s := stateStream(t)
-	mk := func(seed uint64) stream.MergeableEstimator {
-		alg, err := NewWedgeSampler(Config{SampleProb: 0.6, WedgeCap: 512, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return alg
-	}
-	orig := mk(11).(*WedgeSampler)
-	checkStateRoundTrip(t, "wedge-sampler", orig, s)
-	restored := orig.Fork(5).(*WedgeSampler)
-	if err := restored.Restore(orig.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	if restored.ClosedWedges() != orig.ClosedWedges() || restored.WedgesFormed() != orig.WedgesFormed() {
-		t.Errorf("restored closed/formed = %d/%d, want %d/%d",
-			restored.ClosedWedges(), restored.WedgesFormed(), orig.ClosedWedges(), orig.WedgesFormed())
-	}
-	checkForkDeterminism(t, "wedge-sampler", mk, s)
-}
-
-func TestLocalTrianglesState(t *testing.T) {
-	s := stateStream(t)
-	mk := func(seed uint64) stream.MergeableEstimator {
-		alg, err := NewLocalTriangles(0.7, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return alg
-	}
-	orig := mk(11).(*LocalTriangles)
-	checkStateRoundTrip(t, "local-triangles", orig, s)
-	restored := orig.Fork(5).(*LocalTriangles)
-	if err := restored.Restore(orig.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	want := orig.Counts()
-	got := restored.Counts()
-	if len(got) != len(want) {
-		t.Fatalf("restored %d local counts, want %d", len(got), len(want))
-	}
-	for v, c := range want {
-		if got[v] != c {
-			t.Errorf("restored Local(%d) = %v, want %v", v, got[v], c)
-		}
-	}
-	checkForkDeterminism(t, "local-triangles", mk, s)
-}
-
-func TestExactStreamState(t *testing.T) {
-	s := stateStream(t)
-	mk := func(seed uint64) stream.MergeableEstimator {
-		alg, err := NewExactStream(3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return alg
-	}
-	orig := mk(11).(*ExactStream)
-	checkStateRoundTrip(t, "exact", orig, s)
-	// A 4-cycle counter must reject a 3-cycle snapshot: same tag, different
-	// cycle length.
-	other, err := NewExactStream(4)
+	e, err := NewOnePassTriangle(Config{SampleProb: 0.6, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := other.Restore(orig.Snapshot()); err == nil {
-		t.Error("4-cycle ExactStream restored a 3-cycle snapshot")
-	}
+	checkSnapshot(t, "onepass-triangle", e, stateStream(t), func() []uint64 {
+		return []uint64{uint64(e.PairsDiscovered())}
+	})
 }
 
-func TestStreamStatsState(t *testing.T) {
-	s := stateStream(t)
-	orig := NewStreamStats()
-	stream.Run(s, orig)
-	snap := orig.Snapshot()
-	fresh := orig.Fork(0)
-	if err := fresh.Restore(snap); err != nil {
+func TestWedgeSamplerState(t *testing.T) {
+	e, err := NewWedgeSampler(Config{SampleProb: 0.6, WedgeCap: 512, Seed: 11})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if fresh.M() != orig.M() || fresh.Lists() != orig.Lists() ||
-		fresh.MaxDegree() != orig.MaxDegree() || fresh.WedgeCount() != orig.WedgeCount() ||
-		fresh.DegreeSecondMoment() != orig.DegreeSecondMoment() {
-		t.Errorf("restored StreamStats diverges: got (m=%d lists=%d max=%d p2=%d degsq=%d)",
-			fresh.M(), fresh.Lists(), fresh.MaxDegree(), fresh.WedgeCount(), fresh.DegreeSecondMoment())
-	}
-	if fresh.Transitivity(10) != orig.Transitivity(10) {
-		t.Errorf("restored Transitivity(10) = %v, want %v", fresh.Transitivity(10), orig.Transitivity(10))
-	}
-	if !bytes.Equal(fresh.Snapshot(), snap) {
-		t.Error("re-snapshot of restored StreamStats is not byte-identical")
-	}
-	if err := fresh.Restore((&stream.CopyState{Algo: "exact", Passes: 1}).Encode()); err == nil {
-		t.Error("StreamStats restored a foreign algorithm tag")
+	checkSnapshot(t, "wedge-sampler", e, stateStream(t), func() []uint64 {
+		return []uint64{uint64(e.ClosedWedges()), uint64(e.WedgesFormed())}
+	})
+}
+
+func TestExactStreamState(t *testing.T) {
+	for _, l := range []int{3, 4} {
+		e, err := NewExactStream(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSnapshot(t, "exact", e, stateStream(t), func() []uint64 {
+			return []uint64{uint64(e.cycleLen)}
+		})
 	}
 }

@@ -44,9 +44,6 @@ type WedgeSampler struct {
 	m      int64
 	closed int64
 	meter  space.Meter
-
-	// Restored-run summary (state.go); nil unless Restore was called.
-	snap *stream.CopyState
 }
 
 var _ stream.Estimator = (*WedgeSampler)(nil)
@@ -197,9 +194,6 @@ func (w *WedgeSampler) EndPass(p int) { w.m = w.items / 2 }
 // Estimate returns closed·dilution/((5/2)·p₂); see the type comment for the
 // random-order analysis behind the factor 5/2.
 func (w *WedgeSampler) Estimate() float64 {
-	if w.snap != nil {
-		return w.snap.Estimate
-	}
 	p2 := w.pairInclusionProb()
 	if p2 <= 0 {
 		return 0
@@ -237,9 +231,6 @@ func (w *WedgeSampler) WedgesFormed() int64 { return w.formed }
 
 // SpaceWords implements stream.Estimator.
 func (w *WedgeSampler) SpaceWords() int64 {
-	if w.snap != nil {
-		return w.snap.SpaceWords
-	}
 	return w.meter.Peak()
 }
 

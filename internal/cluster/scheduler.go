@@ -210,11 +210,11 @@ func (s *Scheduler) Run(ctx context.Context, kind string, req serve.EstimateRequ
 	add(s.tele.requests, 1)
 
 	// Ship the estimate-shaped spec: distinguish requests run their
-	// derived estimator on the replicas; the decision bit is recovered
-	// from the merged estimate below. The spec pins the proxy's snapshot
-	// version so every shard of this run — across replicas, retries, and
-	// hedges — executes against the same immutable graph even while
-	// ingestion advances the fleet.
+	// derived estimator on the replicas; the response builder recovers the
+	// decision bit from the merged estimate. The spec pins the proxy's
+	// snapshot version so every shard of this run — across replicas,
+	// retries, and hedges — executes against the same immutable graph even
+	// while ingestion advances the fleet.
 	base := serve.ShardRequest{EstimateRequest: serve.DeriveEstimate(kind, req)}
 	if ds != nil {
 		base.GraphVersion = ds.Version()
@@ -267,31 +267,7 @@ func (s *Scheduler) Run(ctx context.Context, kind string, req serve.EstimateRequ
 		return serve.EstimateResponse{}, fmt.Errorf("%w: merge: %w", serve.ErrRemoteUnavailable, err)
 	}
 
-	// Mirror serve's single-node response exactly (modulo ElapsedMS):
-	// the original request's Algorithm (empty for distinguish), the
-	// broadcast driver only for parallel multi-copy runs, and the
-	// decision bit recovered the way DistinguishContext derives it.
-	resp := serve.EstimateResponse{
-		Graph:            req.Graph,
-		Algorithm:        req.Algorithm,
-		Estimate:         res.Estimate,
-		SpaceWords:       res.SpaceWords,
-		Passes:           res.Passes,
-		M:                res.M,
-		Copies:           res.Copies,
-		Seed:             req.EffectiveSeed(),
-		GraphVersion:     base.GraphVersion,
-		GraphFingerprint: base.GraphFingerprint,
-		ElapsedMS:        float64(time.Since(start)) / float64(time.Millisecond),
-	}
-	if base.Parallel && k > 1 {
-		resp.Driver = string(adjstream.DriverBroadcast)
-	}
-	if kind == "distinguish" {
-		found := res.Estimate > 0
-		resp.Found = &found
-	}
-	return resp, nil
+	return serve.NewEstimateResponse(kind, req, ds, res, start), nil
 }
 
 // runShard executes one copy range, rotating through the preference order

@@ -67,10 +67,6 @@ func (c AdaptiveConfig) withDefaults() (AdaptiveConfig, error) {
 type AdaptiveTwoPassTriangle struct {
 	inner *TwoPassTriangle
 	cfg   AdaptiveConfig
-
-	// Restored-run summary (state.go); nil unless Restore was called.
-	snap      *stream.CopyState
-	snapFinal int
 }
 
 var _ stream.Estimator = (*AdaptiveTwoPassTriangle)(nil)
@@ -160,25 +156,16 @@ func (a *AdaptiveTwoPassTriangle) EndPass(p int) { a.inner.EndPass(p) }
 
 // Estimate implements stream.Estimator.
 func (a *AdaptiveTwoPassTriangle) Estimate() float64 {
-	if a.snap != nil {
-		return a.snap.Estimate
-	}
 	return a.inner.Estimate()
 }
 
 // SpaceWords implements stream.Estimator.
 func (a *AdaptiveTwoPassTriangle) SpaceWords() int64 {
-	if a.snap != nil {
-		return a.snap.SpaceWords
-	}
 	return a.inner.SpaceWords()
 }
 
 // FinalSample returns the sample capacity the run converged to.
 func (a *AdaptiveTwoPassTriangle) FinalSample() int {
-	if a.snap != nil {
-		return a.snapFinal
-	}
 	if bk, ok := a.inner.sampler.(*sampling.BottomK); ok {
 		return bk.K()
 	}

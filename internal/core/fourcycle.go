@@ -72,11 +72,6 @@ type TwoPassFourCycle struct {
 	m     int64
 	meter space.Meter
 	tele  estTele
-
-	// Restored-run summary (state.go); nil unless Restore was called.
-	snap       *stream.CopyState
-	snapKept   int
-	snapCycles int64
 }
 
 var _ stream.Estimator = (*TwoPassFourCycle)(nil)
@@ -238,9 +233,6 @@ func (f *TwoPassFourCycle) sampledEdges() []graph.Edge {
 // probability both edges of a wedge are sampled and dilution corrects for a
 // WedgeCap reservoir. Each 4-cycle has exactly four wedges, hence the 1/4.
 func (f *TwoPassFourCycle) Estimate() float64 {
-	if f.snap != nil {
-		return f.snap.Estimate
-	}
 	var sum int64
 	for _, w := range f.wedges {
 		if w.count > 0 {
@@ -279,9 +271,6 @@ func (f *TwoPassFourCycle) pairInclusionProb() float64 {
 
 // SpaceWords implements stream.Estimator.
 func (f *TwoPassFourCycle) SpaceWords() int64 {
-	if f.snap != nil {
-		return f.snap.SpaceWords
-	}
 	return f.meter.Peak()
 }
 
@@ -291,17 +280,11 @@ func (f *TwoPassFourCycle) WedgesFormed() int64 { return f.totalWedges }
 
 // WedgesKept returns |Q| after any cap.
 func (f *TwoPassFourCycle) WedgesKept() int {
-	if f.snap != nil {
-		return f.snapKept
-	}
 	return len(f.wedges)
 }
 
 // CyclesThroughSampledWedges returns Σ_{w∈Q} T_w, the raw pass-two count.
 func (f *TwoPassFourCycle) CyclesThroughSampledWedges() int64 {
-	if f.snap != nil {
-		return f.snapCycles
-	}
 	var sum int64
 	for _, w := range f.wedges {
 		if w.count > 0 {

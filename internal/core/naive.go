@@ -16,7 +16,6 @@ import (
 // variance blowup that motivates the lightest-edge rule (ablation A1).
 // With m′ = Θ(m^{3/2}/T) it serves as the Table 1 row-3 representative.
 type NaiveTwoPass struct {
-	cfg     TriangleConfig
 	sampler sampling.EdgeSampler
 	det     *detector
 
@@ -26,9 +25,6 @@ type NaiveTwoPass struct {
 	m     int64
 	found int64 // N = Σ_{e∈S} T(e)
 	meter space.Meter
-
-	// Restored-run summary (state.go); nil unless Restore was called.
-	snap *stream.CopyState
 }
 
 var _ stream.Estimator = (*NaiveTwoPass)(nil)
@@ -39,7 +35,7 @@ func NewNaiveTwoPass(cfg TriangleConfig) (*NaiveTwoPass, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	n := &NaiveTwoPass{cfg: cfg, det: newDetector()}
+	n := &NaiveTwoPass{det: newDetector()}
 	if cfg.SampleSize > 0 {
 		n.sampler = sampling.NewBottomK(cfg.SampleSize, cfg.Seed, func(e graph.Edge) {
 			if r := n.det.markDead(e); r != nil {
@@ -105,9 +101,6 @@ func (n *NaiveTwoPass) EndPass(p int) {
 // once per final-sample edge it contains (discoveries credited to evicted
 // edges are retracted), and each triangle has three edges.
 func (n *NaiveTwoPass) Estimate() float64 {
-	if n.snap != nil {
-		return n.snap.Estimate
-	}
 	return n.sampler.InclusionScale(n.m) * float64(n.found) / 3
 }
 
@@ -120,9 +113,6 @@ func (n *NaiveTwoPass) PairsDiscovered() int64 { return n.found }
 
 // SpaceWords implements stream.Estimator.
 func (n *NaiveTwoPass) SpaceWords() int64 {
-	if n.snap != nil {
-		return n.snap.SpaceWords
-	}
 	return n.meter.Peak()
 }
 

@@ -2,17 +2,15 @@ package core
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"adjstream/internal/stream"
 )
 
-// Mergeable/serializable state for the core estimators (stream.Snapshotter
-// + Fork; see internal/stream/state.go for the contract). Snapshots are
-// completed-run summaries: estimate, space, passes and m, plus the extras
-// each algorithm's documented accessors need after a Restore. Mid-pass
-// reservoir and watcher state is deliberately not serialized — a merge only
-// ever reads completed copies.
+// Snapshots of the core estimators (stream.Snapshotter; see
+// internal/stream/state.go for the contract). A snapshot is a completed-run
+// summary: estimate, space, passes and m, plus per-algorithm extras.
+// Mid-pass reservoir and watcher state is deliberately not serialized — a
+// merge only ever reads completed copies.
 //
 // Extra payloads (fixed 64-bit little-endian fields, in order):
 //
@@ -22,40 +20,9 @@ import (
 //	adaptive-triangle  final sample capacity
 //	twopass-fourcycle  wedges formed, wedges kept, Σ T_w
 
-var (
-	_ stream.MergeableEstimator = (*TwoPassTriangle)(nil)
-	_ stream.MergeableEstimator = (*ThreePassTriangle)(nil)
-	_ stream.MergeableEstimator = (*NaiveTwoPass)(nil)
-	_ stream.MergeableEstimator = (*AdaptiveTwoPassTriangle)(nil)
-	_ stream.MergeableEstimator = (*TwoPassFourCycle)(nil)
-)
-
-// appendI64 / readI64 are the Extra field codec.
+// appendI64 is the Extra field codec.
 func appendI64(b []byte, v int64) []byte {
 	return binary.LittleEndian.AppendUint64(b, uint64(v))
-}
-
-func readI64(b []byte, n int) ([]int64, error) {
-	if len(b) != 8*n {
-		return nil, fmt.Errorf("core: extra payload is %d bytes, want %d", len(b), 8*n)
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out, nil
-}
-
-// Fork implements stream.MergeableEstimator: a fresh copy with the same
-// configuration, reseeded.
-func (t *TwoPassTriangle) Fork(seed uint64) stream.MergeableEstimator {
-	cfg := t.cfg
-	cfg.Seed = seed
-	nt, err := NewTwoPassTriangle(cfg)
-	if err != nil {
-		panic("core: Fork from validated config: " + err.Error())
-	}
-	return nt
 }
 
 // Snapshot implements stream.Snapshotter.
@@ -63,66 +30,9 @@ func (t *TwoPassTriangle) Snapshot() []byte {
 	return stream.SnapshotOf("twopass-triangle", t, t.M(), appendI64(nil, t.PairsDiscovered()))
 }
 
-// Restore implements stream.Snapshotter. The restored copy answers
-// Estimate/SpaceWords/M/PairsDiscovered as the original did; the sampled
-// edge and triangle sets are not reconstructed (SampledEdges reports 0,
-// SampledTriangles is empty).
-func (t *TwoPassTriangle) Restore(b []byte) error {
-	st, err := stream.DecodeRestore(b, "twopass-triangle")
-	if err != nil {
-		return err
-	}
-	xs, err := readI64(st.Extra, 1)
-	if err != nil {
-		return err
-	}
-	t.m = st.M
-	t.snapPairs = xs[0]
-	t.snap = st
-	return nil
-}
-
-// Fork implements stream.MergeableEstimator.
-func (t *ThreePassTriangle) Fork(seed uint64) stream.MergeableEstimator {
-	cfg := t.cfg
-	cfg.Seed = seed
-	nt, err := NewThreePassTriangle(cfg)
-	if err != nil {
-		panic("core: Fork from validated config: " + err.Error())
-	}
-	return nt
-}
-
 // Snapshot implements stream.Snapshotter.
 func (t *ThreePassTriangle) Snapshot() []byte {
 	return stream.SnapshotOf("threepass-triangle", t, t.M(), appendI64(nil, int64(t.PairsCollected())))
-}
-
-// Restore implements stream.Snapshotter.
-func (t *ThreePassTriangle) Restore(b []byte) error {
-	st, err := stream.DecodeRestore(b, "threepass-triangle")
-	if err != nil {
-		return err
-	}
-	xs, err := readI64(st.Extra, 1)
-	if err != nil {
-		return err
-	}
-	t.m = st.M
-	t.snapPairs = int(xs[0])
-	t.snap = st
-	return nil
-}
-
-// Fork implements stream.MergeableEstimator.
-func (n *NaiveTwoPass) Fork(seed uint64) stream.MergeableEstimator {
-	cfg := n.cfg
-	cfg.Seed = seed
-	nn, err := NewNaiveTwoPass(cfg)
-	if err != nil {
-		panic("core: Fork from validated config: " + err.Error())
-	}
-	return nn
 }
 
 // Snapshot implements stream.Snapshotter.
@@ -130,64 +40,9 @@ func (n *NaiveTwoPass) Snapshot() []byte {
 	return stream.SnapshotOf("naive-twopass", n, n.M(), appendI64(nil, n.found))
 }
 
-// Restore implements stream.Snapshotter. found is restored for real, so
-// Detected and PairsDiscovered keep answering.
-func (n *NaiveTwoPass) Restore(b []byte) error {
-	st, err := stream.DecodeRestore(b, "naive-twopass")
-	if err != nil {
-		return err
-	}
-	xs, err := readI64(st.Extra, 1)
-	if err != nil {
-		return err
-	}
-	n.m = st.M
-	n.found = xs[0]
-	n.snap = st
-	return nil
-}
-
-// Fork implements stream.MergeableEstimator.
-func (a *AdaptiveTwoPassTriangle) Fork(seed uint64) stream.MergeableEstimator {
-	cfg := a.cfg // already defaulted by the constructor
-	cfg.Seed = seed
-	na, err := NewAdaptiveTwoPassTriangle(cfg)
-	if err != nil {
-		panic("core: Fork from validated config: " + err.Error())
-	}
-	return na
-}
-
 // Snapshot implements stream.Snapshotter.
 func (a *AdaptiveTwoPassTriangle) Snapshot() []byte {
 	return stream.SnapshotOf("adaptive-triangle", a, a.M(), appendI64(nil, int64(a.FinalSample())))
-}
-
-// Restore implements stream.Snapshotter.
-func (a *AdaptiveTwoPassTriangle) Restore(b []byte) error {
-	st, err := stream.DecodeRestore(b, "adaptive-triangle")
-	if err != nil {
-		return err
-	}
-	xs, err := readI64(st.Extra, 1)
-	if err != nil {
-		return err
-	}
-	a.inner.m = st.M
-	a.snapFinal = int(xs[0])
-	a.snap = st
-	return nil
-}
-
-// Fork implements stream.MergeableEstimator.
-func (f *TwoPassFourCycle) Fork(seed uint64) stream.MergeableEstimator {
-	cfg := f.cfg
-	cfg.Seed = seed
-	nf, err := NewTwoPassFourCycle(cfg)
-	if err != nil {
-		panic("core: Fork from validated config: " + err.Error())
-	}
-	return nf
 }
 
 // Snapshot implements stream.Snapshotter.
@@ -196,22 +51,4 @@ func (f *TwoPassFourCycle) Snapshot() []byte {
 	extra = appendI64(extra, int64(f.WedgesKept()))
 	extra = appendI64(extra, f.CyclesThroughSampledWedges())
 	return stream.SnapshotOf("twopass-fourcycle", f, f.M(), extra)
-}
-
-// Restore implements stream.Snapshotter.
-func (f *TwoPassFourCycle) Restore(b []byte) error {
-	st, err := stream.DecodeRestore(b, "twopass-fourcycle")
-	if err != nil {
-		return err
-	}
-	xs, err := readI64(st.Extra, 3)
-	if err != nil {
-		return err
-	}
-	f.m = st.M
-	f.totalWedges = xs[0]
-	f.snapKept = int(xs[1])
-	f.snapCycles = xs[2]
-	f.snap = st
-	return nil
 }

@@ -1,12 +1,12 @@
 package core
 
-// Fork/Snapshot/Restore round-trips for the core estimators: a restored
-// copy answers the summary accessors exactly as the original did, and
-// re-snapshotting it reproduces the original bytes, so snapshots survive
-// any number of write/read/merge hops unchanged.
+// Snapshots of the core estimators: after a run, the decoded CopyState must
+// carry the algorithm tag and answer exactly what the live copy's accessors
+// answer — estimate, space, passes, m and every Extra field — since a merge
+// reads nothing else.
 
 import (
-	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"adjstream/internal/gen"
@@ -22,165 +22,88 @@ func stateStream(t testing.TB) *stream.Stream {
 	return stream.Random(g, 3)
 }
 
-// checkStateRoundTrip runs orig over s, snapshots it, restores the snapshot
-// into an unrun fork, and checks the fork answers and re-encodes exactly as
-// the original.
-func checkStateRoundTrip(t *testing.T, name string, orig stream.MergeableEstimator, s *stream.Stream) stream.CopyState {
-	t.Helper()
-	stream.Run(s, orig)
-	snap := orig.Snapshot()
-	st, err := stream.DecodeCopyState(snap)
-	if err != nil {
-		t.Fatalf("%s: decode own snapshot: %v", name, err)
-	}
-	if st.Estimate != orig.Estimate() || st.SpaceWords != orig.SpaceWords() || st.Passes != int64(orig.Passes()) {
-		t.Errorf("%s: snapshot summary %+v diverges from live copy (est %v, space %d, passes %d)",
-			name, st, orig.Estimate(), orig.SpaceWords(), orig.Passes())
-	}
-	fresh := orig.Fork(999)
-	if fresh.Estimate() == orig.Estimate() && orig.Estimate() != 0 {
-		t.Errorf("%s: fork carried run state (estimate %v)", name, fresh.Estimate())
-	}
-	if err := fresh.Restore(snap); err != nil {
-		t.Fatalf("%s: restore: %v", name, err)
-	}
-	if fresh.Estimate() != orig.Estimate() || fresh.SpaceWords() != orig.SpaceWords() || fresh.Passes() != orig.Passes() {
-		t.Errorf("%s: restored copy answers (est %v, space %d, passes %d), want (%v, %d, %d)",
-			name, fresh.Estimate(), fresh.SpaceWords(), fresh.Passes(),
-			orig.Estimate(), orig.SpaceWords(), orig.Passes())
-	}
-	if !bytes.Equal(fresh.Snapshot(), snap) {
-		t.Errorf("%s: re-snapshot of restored copy is not byte-identical", name)
-	}
-	if err := fresh.Restore((&stream.CopyState{Algo: "not-" + name, Passes: 1}).Encode()); err == nil {
-		t.Errorf("%s: restore accepted a foreign algorithm tag", name)
-	}
-	return st
+// snapshotEstimator is a copy a split run can merge.
+type snapshotEstimator interface {
+	stream.Estimator
+	stream.Snapshotter
+	M() int64
 }
 
-// checkForkDeterminism checks Fork(seed) behaves exactly like constructing
-// with that seed: the pair, run over the same stream, agree bit-for-bit.
-func checkForkDeterminism(t *testing.T, name string, mk func(seed uint64) stream.MergeableEstimator, s *stream.Stream) {
+// checkSnapshot runs e over s, decodes its snapshot and compares every
+// field with e's live accessors; extra lists the live values of the Extra
+// fields, in wire order.
+func checkSnapshot(t *testing.T, algo string, e snapshotEstimator, s *stream.Stream, extra func() []int64) {
 	t.Helper()
-	forked := mk(1).Fork(77)
-	direct := mk(77)
-	stream.Run(s, forked)
-	stream.Run(s, direct)
-	if forked.Estimate() != direct.Estimate() {
-		t.Errorf("%s: Fork(77) estimate %v != constructed-with-77 estimate %v",
-			name, forked.Estimate(), direct.Estimate())
+	stream.Run(s, e)
+	st, err := stream.DecodeCopyState(e.Snapshot())
+	if err != nil {
+		t.Fatalf("%s: decode own snapshot: %v", algo, err)
 	}
-	if !bytes.Equal(forked.Snapshot(), direct.Snapshot()) {
-		t.Errorf("%s: Fork(77) snapshot diverges from constructed-with-77", name)
+	if st.Algo != algo || st.Estimate != e.Estimate() || st.SpaceWords != e.SpaceWords() ||
+		st.Passes != int64(e.Passes()) || st.M != e.M() {
+		t.Errorf("%s: snapshot %+v diverges from the live copy (est %v, space %d, passes %d, m %d)",
+			algo, st, e.Estimate(), e.SpaceWords(), e.Passes(), e.M())
+	}
+	if e.M() != s.M() {
+		t.Errorf("%s: live m = %d, stream m = %d", algo, e.M(), s.M())
+	}
+	want := extra()
+	if len(st.Extra) != 8*len(want) {
+		t.Fatalf("%s: extra payload is %d bytes, want %d", algo, len(st.Extra), 8*len(want))
+	}
+	for i, w := range want {
+		if got := int64(binary.LittleEndian.Uint64(st.Extra[8*i:])); got != w {
+			t.Errorf("%s: extra field %d = %d, live accessor %d", algo, i, got, w)
+		}
 	}
 }
 
 func TestTwoPassTriangleState(t *testing.T) {
-	s := stateStream(t)
-	mk := func(seed uint64) stream.MergeableEstimator {
-		alg, err := NewTwoPassTriangle(TriangleConfig{SampleProb: 0.6, PairCap: 4096, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return alg
-	}
-	orig := mk(11).(*TwoPassTriangle)
-	checkStateRoundTrip(t, "twopass-triangle", orig, s)
-	restored := orig.Fork(5).(*TwoPassTriangle)
-	if err := restored.Restore(orig.Snapshot()); err != nil {
+	e, err := NewTwoPassTriangle(TriangleConfig{SampleProb: 0.6, PairCap: 4096, Seed: 11})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.M() != orig.M() || restored.PairsDiscovered() != orig.PairsDiscovered() {
-		t.Errorf("restored M/pairs = %d/%d, want %d/%d",
-			restored.M(), restored.PairsDiscovered(), orig.M(), orig.PairsDiscovered())
-	}
-	checkForkDeterminism(t, "twopass-triangle", mk, s)
+	checkSnapshot(t, "twopass-triangle", e, stateStream(t), func() []int64 {
+		return []int64{e.PairsDiscovered()}
+	})
 }
 
 func TestThreePassTriangleState(t *testing.T) {
-	s := stateStream(t)
-	mk := func(seed uint64) stream.MergeableEstimator {
-		alg, err := NewThreePassTriangle(TriangleConfig{SampleProb: 0.6, PairCap: 4096, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return alg
-	}
-	orig := mk(11).(*ThreePassTriangle)
-	checkStateRoundTrip(t, "threepass-triangle", orig, s)
-	restored := orig.Fork(5).(*ThreePassTriangle)
-	if err := restored.Restore(orig.Snapshot()); err != nil {
+	e, err := NewThreePassTriangle(TriangleConfig{SampleProb: 0.6, PairCap: 4096, Seed: 11})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.M() != orig.M() || restored.PairsCollected() != orig.PairsCollected() {
-		t.Errorf("restored M/pairs = %d/%d, want %d/%d",
-			restored.M(), restored.PairsCollected(), orig.M(), orig.PairsCollected())
-	}
-	checkForkDeterminism(t, "threepass-triangle", mk, s)
+	checkSnapshot(t, "threepass-triangle", e, stateStream(t), func() []int64 {
+		return []int64{int64(e.PairsCollected())}
+	})
 }
 
 func TestNaiveTwoPassState(t *testing.T) {
-	s := stateStream(t)
-	mk := func(seed uint64) stream.MergeableEstimator {
-		alg, err := NewNaiveTwoPass(TriangleConfig{SampleProb: 0.6, PairCap: 4096, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return alg
-	}
-	orig := mk(11).(*NaiveTwoPass)
-	checkStateRoundTrip(t, "naive-twopass", orig, s)
-	restored := orig.Fork(5).(*NaiveTwoPass)
-	if err := restored.Restore(orig.Snapshot()); err != nil {
+	e, err := NewNaiveTwoPass(TriangleConfig{SampleProb: 0.6, PairCap: 4096, Seed: 11})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.M() != orig.M() {
-		t.Errorf("restored M = %d, want %d", restored.M(), orig.M())
-	}
-	checkForkDeterminism(t, "naive-twopass", mk, s)
+	checkSnapshot(t, "naive-twopass", e, stateStream(t), func() []int64 {
+		return []int64{e.PairsDiscovered()}
+	})
 }
 
 func TestAdaptiveTwoPassTriangleState(t *testing.T) {
-	s := stateStream(t)
-	mk := func(seed uint64) stream.MergeableEstimator {
-		alg, err := NewAdaptiveTwoPassTriangle(AdaptiveConfig{InitialSample: 256, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return alg
-	}
-	orig := mk(11).(*AdaptiveTwoPassTriangle)
-	checkStateRoundTrip(t, "adaptive-triangle", orig, s)
-	restored := orig.Fork(5).(*AdaptiveTwoPassTriangle)
-	if err := restored.Restore(orig.Snapshot()); err != nil {
+	e, err := NewAdaptiveTwoPassTriangle(AdaptiveConfig{InitialSample: 256, Seed: 11})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.M() != orig.M() || restored.FinalSample() != orig.FinalSample() {
-		t.Errorf("restored M/final = %d/%d, want %d/%d",
-			restored.M(), restored.FinalSample(), orig.M(), orig.FinalSample())
-	}
-	checkForkDeterminism(t, "adaptive-triangle", mk, s)
+	checkSnapshot(t, "adaptive-triangle", e, stateStream(t), func() []int64 {
+		return []int64{int64(e.FinalSample())}
+	})
 }
 
 func TestTwoPassFourCycleState(t *testing.T) {
-	s := stateStream(t)
-	mk := func(seed uint64) stream.MergeableEstimator {
-		alg, err := NewTwoPassFourCycle(FourCycleConfig{SampleProb: 0.6, Seed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return alg
-	}
-	orig := mk(11).(*TwoPassFourCycle)
-	checkStateRoundTrip(t, "twopass-fourcycle", orig, s)
-	restored := orig.Fork(5).(*TwoPassFourCycle)
-	if err := restored.Restore(orig.Snapshot()); err != nil {
+	e, err := NewTwoPassFourCycle(FourCycleConfig{SampleProb: 0.6, Seed: 11})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.M() != orig.M() || restored.WedgesFormed() != orig.WedgesFormed() ||
-		restored.WedgesKept() != orig.WedgesKept() ||
-		restored.CyclesThroughSampledWedges() != orig.CyclesThroughSampledWedges() {
-		t.Errorf("restored wedge summary diverges from original")
-	}
-	checkForkDeterminism(t, "twopass-fourcycle", mk, s)
+	checkSnapshot(t, "twopass-fourcycle", e, stateStream(t), func() []int64 {
+		return []int64{e.WedgesFormed(), int64(e.WedgesKept()), e.CyclesThroughSampledWedges()}
+	})
 }

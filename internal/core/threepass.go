@@ -19,7 +19,6 @@ import (
 // It is retained as the Table 1 row-4 representative and for the A2
 // ablation (H proxy versus exact T_e).
 type ThreePassTriangle struct {
-	cfg     TriangleConfig
 	sampler sampling.EdgeSampler
 	det     *detector
 	watch   *watchSet
@@ -30,10 +29,6 @@ type ThreePassTriangle struct {
 	items int64
 	m     int64
 	meter space.Meter
-
-	// Restored-run summary (state.go); nil unless Restore was called.
-	snap      *stream.CopyState
-	snapPairs int
 }
 
 var _ stream.Estimator = (*ThreePassTriangle)(nil)
@@ -44,7 +39,7 @@ func NewThreePassTriangle(cfg TriangleConfig) (*ThreePassTriangle, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	t := &ThreePassTriangle{cfg: cfg, det: newDetector(), watch: newWatchSet()}
+	t := &ThreePassTriangle{det: newDetector(), watch: newWatchSet()}
 	if cfg.SampleSize > 0 {
 		t.sampler = sampling.NewBottomK(cfg.SampleSize, cfg.Seed, func(e graph.Edge) {
 			if r := t.det.markDead(e); r != nil {
@@ -141,9 +136,6 @@ func (t *ThreePassTriangle) collect(r *edgeRec, apex graph.V) {
 
 // Estimate returns scale · |{(e,τ) collected : argmin_{e′∈τ} T(e′) = e}|.
 func (t *ThreePassTriangle) Estimate() float64 {
-	if t.snap != nil {
-		return t.snap.Estimate
-	}
 	matched := 0
 	for _, pr := range t.pairs {
 		if pr.rec.dead || pr.w[0] == nil {
@@ -158,17 +150,11 @@ func (t *ThreePassTriangle) Estimate() float64 {
 
 // SpaceWords implements stream.Estimator.
 func (t *ThreePassTriangle) SpaceWords() int64 {
-	if t.snap != nil {
-		return t.snap.SpaceWords
-	}
 	return t.meter.Peak()
 }
 
 // PairsCollected returns |Q|, the number of (edge, triangle) pairs stored.
 func (t *ThreePassTriangle) PairsCollected() int {
-	if t.snap != nil {
-		return t.snapPairs
-	}
 	return len(t.pairs)
 }
 

@@ -70,7 +70,6 @@ type trianglePair struct {
 // counted iff it was sampled at its ρ(τ) = argmin H edge, which suppresses
 // the heavy-edge variance while keeping the estimator unbiased.
 type TwoPassTriangle struct {
-	cfg     TriangleConfig
 	sampler sampling.EdgeSampler
 	det     *detector
 	watch   *watchSet
@@ -83,10 +82,6 @@ type TwoPassTriangle struct {
 	meter  space.Meter
 	tele   estTele
 	inList bool
-
-	// Restored-run summary (state.go); nil unless Restore was called.
-	snap      *stream.CopyState
-	snapPairs int64
 }
 
 var _ stream.Estimator = (*TwoPassTriangle)(nil)
@@ -96,7 +91,7 @@ func NewTwoPassTriangle(cfg TriangleConfig) (*TwoPassTriangle, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	t := &TwoPassTriangle{cfg: cfg, det: newDetector(), watch: newWatchSet()}
+	t := &TwoPassTriangle{det: newDetector(), watch: newWatchSet()}
 	if cfg.SampleSize > 0 {
 		t.sampler = sampling.NewBottomK(cfg.SampleSize, cfg.Seed, func(e graph.Edge) {
 			if r := t.det.markDead(e); r != nil {
@@ -251,9 +246,6 @@ func edgeLess(a, b graph.Edge) bool {
 //
 // where scale = 1/Pr[e ∈ S] and N is the total number of discovered pairs.
 func (t *TwoPassTriangle) Estimate() float64 {
-	if t.snap != nil {
-		return t.snap.Estimate
-	}
 	q := t.pairs.Len()
 	if q == 0 {
 		return 0
@@ -274,9 +266,6 @@ func (t *TwoPassTriangle) Estimate() float64 {
 
 // SpaceWords implements stream.Estimator.
 func (t *TwoPassTriangle) SpaceWords() int64 {
-	if t.snap != nil {
-		return t.snap.SpaceWords
-	}
 	return t.meter.Peak()
 }
 
@@ -317,9 +306,6 @@ func sortedTriangle(a, b, c graph.V) graph.Triangle {
 // PairsDiscovered returns N, the total number of (edge, triangle) pairs
 // found across both passes (including pairs for edges later evicted).
 func (t *TwoPassTriangle) PairsDiscovered() int64 {
-	if t.snap != nil {
-		return t.snapPairs
-	}
 	return t.pairs.Offered()
 }
 

@@ -20,9 +20,9 @@ import (
 )
 
 // StreamFromFile opens an adjacency-list stream file in any supported
-// format (text, "adj1" varint binary, or "adjC" columnar — the latter
-// memory-mapped). The returned closer must be called when the stream is no
-// longer needed; it is never nil.
+// format (text or "adjC" columnar — the latter memory-mapped). The returned
+// closer must be called when the stream is no longer needed; it is never
+// nil.
 func StreamFromFile(path string) (*stream.Stream, func() error, error) {
 	return stream.OpenFile(path)
 }

@@ -588,14 +588,6 @@ func (s *Server) run(ctx context.Context, kind string, req EstimateRequest, ds *
 	if err != nil {
 		return EstimateResponse{}, err
 	}
-	resp := EstimateResponse{
-		Graph:            req.Graph,
-		Model:            req.Model,
-		Algorithm:        req.Algorithm,
-		Seed:             req.EffectiveSeed(),
-		GraphVersion:     ds.Version(),
-		GraphFingerprint: fmt.Sprintf("%016x", ds.Fingerprint()),
-	}
 	var res adjstream.Result
 	switch kind {
 	case "estimate":
@@ -607,21 +599,49 @@ func (s *Server) run(ctx context.Context, kind string, req EstimateRequest, ds *
 		}
 		opts := req.options()
 		opts.CycleLen = 0 // derived from cycleLen by DistinguishContext
-		var found bool
-		found, res, err = adjstream.DistinguishContext(ctx, st, cycleLen, opts)
-		resp.Found = &found
+		_, res, err = adjstream.DistinguishContext(ctx, st, cycleLen, opts)
 	}
 	if err != nil {
 		return EstimateResponse{}, err
 	}
-	resp.Estimate = res.Estimate
-	resp.SpaceWords = res.SpaceWords
-	resp.Passes = res.Passes
-	resp.M = res.M
-	resp.Copies = res.Copies
-	resp.Driver = string(res.Driver)
-	resp.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
-	return resp, nil
+	return NewEstimateResponse(kind, req, ds, res, start), nil
+}
+
+// NewEstimateResponse builds the body of a successful run from its Result —
+// the one place the single-node, batch-family and cluster paths turn a
+// Result into a response, so their bodies agree byte for byte (elapsed time
+// aside). kind is "estimate" or "distinguish", req the request as the
+// client sent it, ds the graph version the run pinned (nil leaves the
+// version fields zero) and start the time the run began. The driver echo
+// and the distinguish decision derive from req and res alone, since a
+// Result merged from shards does not record how its shards ran.
+func NewEstimateResponse(kind string, req EstimateRequest, ds *Dataset, res adjstream.Result, start time.Time) EstimateResponse {
+	resp := EstimateResponse{
+		Graph:      req.Graph,
+		Model:      req.Model,
+		Algorithm:  req.Algorithm,
+		Estimate:   res.Estimate,
+		SpaceWords: res.SpaceWords,
+		Passes:     res.Passes,
+		M:          res.M,
+		Copies:     res.Copies,
+		Seed:       req.EffectiveSeed(),
+		ElapsedMS:  float64(time.Since(start)) / float64(time.Millisecond),
+	}
+	if ds != nil {
+		resp.GraphVersion = ds.Version()
+		resp.GraphFingerprint = fmt.Sprintf("%016x", ds.Fingerprint())
+	}
+	// Parallel multi-copy adjacency-list runs are exactly the ones the
+	// broadcast driver executes.
+	if req.Parallel && res.Copies > 1 && !req.arbitraryModel() {
+		resp.Driver = string(adjstream.DriverBroadcast)
+	}
+	if kind == "distinguish" {
+		found := res.Estimate > 0 // the decision DistinguishContext makes
+		resp.Found = &found
+	}
+	return resp
 }
 
 // handleBatch serves POST /v1/estimate/batch: many estimate specs in one
@@ -798,21 +818,7 @@ func (s *Server) batchRunFamily(ctx context.Context, reqs []EstimateRequest, idx
 			items[i] = BatchItem{Error: errDetail(err), Status: statusOf(err)}
 			continue
 		}
-		resp := EstimateResponse{
-			Graph:            reqs[i].Graph,
-			Model:            reqs[i].Model,
-			Algorithm:        reqs[i].Algorithm,
-			Estimate:         res.Estimate,
-			SpaceWords:       res.SpaceWords,
-			Passes:           res.Passes,
-			M:                res.M,
-			Copies:           res.Copies,
-			Driver:           string(adjstream.DriverBroadcast),
-			Seed:             reqs[i].EffectiveSeed(),
-			GraphVersion:     ds.Version(),
-			GraphFingerprint: fmt.Sprintf("%016x", ds.Fingerprint()),
-			ElapsedMS:        float64(time.Since(start)) / float64(time.Millisecond),
-		}
+		resp := NewEstimateResponse("estimate", reqs[i], ds, res, start)
 		if s.cache != nil {
 			s.cache.Put(reqs[i].key("estimate", ds), resp)
 		}

@@ -1,9 +1,7 @@
 package stream
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
@@ -64,8 +62,8 @@ func TestBuildChunksUnchunkable(t *testing.T) {
 
 // TestOutOfRangeIDsRejected feeds ids just outside [0, graph.MaxV] to every
 // stream constructor that reads them from outside the program: item
-// slices, text streams, "adj1" binary streams and edge lists. Each must be
-// rejected; the edge-list error names the offending line.
+// slices, text streams and edge lists. Each must be rejected; the
+// edge-list error names the offending line.
 func TestOutOfRangeIDsRejected(t *testing.T) {
 	for _, bad := range []graph.V{-1, graph.MaxV + 1} {
 		items := []Item{{Owner: 1, Nbr: bad}, {Owner: bad, Nbr: 1}}
@@ -75,17 +73,6 @@ func TestOutOfRangeIDsRejected(t *testing.T) {
 		text := fmt.Sprintf("1 %d\n%d 1\n", bad, bad)
 		if _, err := ReadText(strings.NewReader(text)); err == nil {
 			t.Errorf("ReadText accepted id %d", bad)
-		}
-		var bin bytes.Buffer
-		bin.WriteString("adj1")
-		bin.Write(binary.AppendUvarint(nil, 2))
-		for _, list := range [][2]int64{{1, int64(bad)}, {int64(bad), 1}} {
-			bin.Write(binary.AppendVarint(nil, list[0]))
-			bin.Write(binary.AppendUvarint(nil, 1))
-			bin.Write(binary.AppendVarint(nil, list[1]))
-		}
-		if _, err := ReadBinary(&bin); err == nil || !strings.Contains(err.Error(), "outside") {
-			t.Errorf("ReadBinary with id %d: err = %v, want an id-range error", bad, err)
 		}
 		edges := fmt.Sprintf("# header\n1 2\n2 %d\n", bad)
 		_, err := ReadEdgeList(strings.NewReader(edges))

@@ -28,13 +28,12 @@ package stream
 //
 // OpenMapped performs structural validation only (sizes, run monotonicity,
 // header consistency): the full adjacency-list promise is a property of
-// the writer, which only accepts validated Streams. The varint "adj1"
-// format (binary.go) remains the compact archival format; "adjC" trades
-// size for zero-cost replay.
+// the writer, which only accepts validated Streams.
 
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -291,10 +290,18 @@ func ReadColumnar(r io.Reader) (*Stream, error) {
 	return s, nil
 }
 
+// retiredBinaryMagic is the magic of the retired "adj1" varint stream
+// format; readers reject such files by name rather than misparse them as
+// text.
+const retiredBinaryMagic = "adj1"
+
+// errRetiredBinary is the error for an "adj1" file.
+var errRetiredBinary = errors.New(`stream: the "adj1" binary stream format is retired; write the stream as "adjC" columnar or text`)
+
 // ReadAny reads a stream from r in any supported format, sniffing the
-// 4-byte magic: "adjC" columnar, "adj1" compact binary, anything else text.
-// The returned stream owns its memory; use OpenFile or OpenMapped to map a
-// columnar file instead of copying it.
+// 4-byte magic: "adjC" columnar, anything else text ("adj1" files of the
+// retired binary format are rejected). The returned stream owns its memory;
+// use OpenFile or OpenMapped to map a columnar file instead of copying it.
 func ReadAny(r io.Reader) (*Stream, error) {
 	br := bufio.NewReader(r)
 	magic, err := br.Peek(4)
@@ -304,18 +311,18 @@ func ReadAny(r io.Reader) (*Stream, error) {
 	switch {
 	case len(magic) == 4 && string(magic) == mappedMagic:
 		return ReadColumnar(br)
-	case len(magic) == 4 && string(magic) == string(binaryMagic[:]):
-		return ReadBinary(br)
+	case len(magic) == 4 && string(magic) == retiredBinaryMagic:
+		return nil, errRetiredBinary
 	default:
 		return ReadText(br)
 	}
 }
 
 // OpenFile opens a stream file of any supported format, sniffing the
-// magic: "adjC" (columnar, memory-mapped), "adj1" (compact varint binary),
-// or text ("owner neighbor" per line). The returned closer releases any
-// mapping and must be called after the stream is no longer used; it is
-// never nil.
+// magic: "adjC" (columnar, memory-mapped) or text ("owner neighbor" per
+// line); "adj1" files of the retired binary format are rejected. The
+// returned closer releases any mapping and must be called after the stream
+// is no longer used; it is never nil.
 func OpenFile(path string) (*Stream, func() error, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -336,10 +343,9 @@ func OpenFile(path string) (*Stream, func() error, error) {
 			return nil, nil, err
 		}
 		return m.Stream, m.Close, nil
-	case n == 4 && magic == binaryMagic:
-		defer f.Close()
-		s, err := ReadBinary(bufio.NewReader(f))
-		return s, noop, err
+	case n == 4 && string(magic[:]) == retiredBinaryMagic:
+		f.Close()
+		return nil, nil, errRetiredBinary
 	default:
 		defer f.Close()
 		s, err := ReadText(f)

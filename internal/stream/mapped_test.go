@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"adjstream/internal/graph"
@@ -104,8 +105,9 @@ func TestWriteColumnarRejectsUnchunkable(t *testing.T) {
 	}
 }
 
-// TestOpenFileSniffsFormats round-trips one stream through all three file
-// formats and checks OpenFile dispatches each by magic.
+// TestOpenFileSniffsFormats round-trips one stream through both file
+// formats, checks OpenFile dispatches each by magic, and checks files of
+// the retired "adj1" format are rejected.
 func TestOpenFileSniffsFormats(t *testing.T) {
 	g := randomGraph(20, 0.3, 2)
 	s := Sorted(g)
@@ -113,14 +115,6 @@ func TestOpenFileSniffsFormats(t *testing.T) {
 
 	colPath := filepath.Join(dir, "s.adjc")
 	if err := WriteFile(colPath, s); err != nil {
-		t.Fatal(err)
-	}
-	binPath := filepath.Join(dir, "s.adj")
-	var bin bytes.Buffer
-	if err := WriteBinary(&bin, s); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(binPath, bin.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	txtPath := filepath.Join(dir, "s.txt")
@@ -132,7 +126,7 @@ func TestOpenFileSniffsFormats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, path := range []string{colPath, binPath, txtPath} {
+	for _, path := range []string{colPath, txtPath} {
 		got, closeFn, err := OpenFile(path)
 		if err != nil {
 			t.Fatalf("OpenFile(%s): %v", path, err)
@@ -143,6 +137,19 @@ func TestOpenFileSniffsFormats(t *testing.T) {
 		if err := closeFn(); err != nil {
 			t.Errorf("close %s: %v", path, err)
 		}
+	}
+
+	// Files of the retired "adj1" binary format are rejected by name.
+	adj1 := []byte("adj1\x02\x02\x01\x02")
+	adj1Path := filepath.Join(dir, "s.adj")
+	if err := os.WriteFile(adj1Path, adj1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := OpenFile(adj1Path); err == nil || !strings.Contains(err.Error(), `"adj1"`) {
+		t.Errorf("OpenFile(adj1) err = %v, want an error naming the retired format", err)
+	}
+	if _, err := ReadAny(bytes.NewReader(adj1)); err == nil || !strings.Contains(err.Error(), `"adj1"`) {
+		t.Errorf("ReadAny(adj1) err = %v, want an error naming the retired format", err)
 	}
 }
 

@@ -85,16 +85,24 @@ func ReadSnapshotSet(r io.Reader) (indices []int, snaps [][]byte, err error) {
 	if v := binary.LittleEndian.Uint32(hdr[4:]); v != snapshotSetVersion {
 		return nil, nil, fmt.Errorf("stream: snapshot set version %d, want %d", v, snapshotSetVersion)
 	}
+	// The header's sizes are claims, not data: every allocation grows with
+	// the bytes actually read, so a short hostile body cannot buy a large
+	// one, and no payload may claim more than MaxSnapshotSetBytes.
 	n := binary.LittleEndian.Uint32(hdr[8:])
-	indices = make([]int, 0, n)
-	snaps = make([][]byte, 0, n)
 	var rec [8]byte
 	for i := uint32(0); i < n; i++ {
 		if _, err := io.ReadFull(r, rec[:]); err != nil {
 			return nil, nil, fmt.Errorf("stream: snapshot record %d: %w", i, err)
 		}
-		payload := make([]byte, binary.LittleEndian.Uint32(rec[4:]))
-		if _, err := io.ReadFull(r, payload); err != nil {
+		size := binary.LittleEndian.Uint32(rec[4:])
+		if size > MaxSnapshotSetBytes {
+			return nil, nil, fmt.Errorf("stream: snapshot record %d: %d-byte payload exceeds the %d-byte limit", i, size, MaxSnapshotSetBytes)
+		}
+		payload, err := io.ReadAll(io.LimitReader(r, int64(size)))
+		if err == nil && len(payload) < int(size) {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
 			return nil, nil, fmt.Errorf("stream: snapshot record %d: %w", i, err)
 		}
 		indices = append(indices, int(binary.LittleEndian.Uint32(rec[:])))

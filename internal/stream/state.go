@@ -9,47 +9,27 @@ import (
 	"adjstream/internal/stats"
 )
 
-// Mergeable, serializable estimator state. A median-of-k run is k
-// independent copies whose estimates meet only at the final median, so the
-// copy set can be split into disjoint subsets executed by separate workers
-// — or separate processes — as long as (a) copy i gets the same seed no
-// matter which subset runs it and (b) each completed copy can hand back a
-// summary the merge step combines into the bit-identical median. Fork
-// covers (a); Snapshot/Restore plus MergeMedianSet cover (b). The seed
-// schedule is the facade's concern (it is independent of the subset
-// partition by construction); this file defines the contract and the wire
-// form.
+// Serializable estimator summaries. A median-of-k run is k independent
+// copies whose estimates meet only at the final median, so the copy set can
+// be split into disjoint ranges executed by separate workers — or separate
+// processes — as long as (a) copy i gets the same seed no matter which range
+// runs it and (b) each completed copy can hand back a summary the merge step
+// combines into the bit-identical median. The facade's seed schedule covers
+// (a); Snapshot plus MergeMedianSet cover (b). This file defines the
+// contract and the wire form.
 //
 // A snapshot is a completed-run summary, not a mid-pass checkpoint: it
 // captures what the copy contributes to the merge (estimate, space, passes,
-// m) plus per-algorithm extras for the accessors that remain meaningful
-// after restore. Restoring mid-pass state would require serializing
-// reservoir pointer webs for no merge benefit — the merge only ever reads
-// completed copies.
+// m) plus per-algorithm extras. Nothing reads a snapshot back into an
+// estimator — the merge only ever reads completed copies' summaries.
 
-// Snapshotter is the serialization half of the state contract: Snapshot
-// freezes a completed run into the versioned CopyState wire form, Restore
-// loads one into a fresh instance so that Estimate/SpaceWords/M (and the
-// algorithm's documented accessors) answer as the original would.
+// Snapshotter is the state contract of a copy that can take part in a
+// split run: Snapshot freezes a completed run into the versioned CopyState
+// wire form.
 type Snapshotter interface {
 	// Snapshot serializes the completed-run summary. Call it only after
 	// the copy has finished all its passes.
 	Snapshot() []byte
-	// Restore loads a snapshot produced by the same algorithm type. It
-	// fails on a corrupt snapshot or an algorithm-tag mismatch.
-	Restore([]byte) error
-}
-
-// MergeableEstimator is an estimator copy that can participate in a split
-// median-of-k run: forked for a given copy seed, run anywhere, snapshotted,
-// and merged via MergeMedianSet.
-type MergeableEstimator interface {
-	Estimator
-	Snapshotter
-	// Fork returns a fresh copy of the same algorithm and configuration,
-	// reseeded with seed, holding no run state. Algorithms that consume no
-	// randomness ignore the seed.
-	Fork(seed uint64) MergeableEstimator
 }
 
 // CopyState is the decoded form of one copy's snapshot.
@@ -126,9 +106,8 @@ func DecodeCopyState(b []byte) (CopyState, error) {
 	return st, nil
 }
 
-// SnapshotOf builds the standard snapshot for a completed estimator copy.
-// It reads the summary through the estimator's own accessors, so
-// re-snapshotting a restored copy round-trips.
+// SnapshotOf builds the standard snapshot for a completed estimator copy,
+// reading the summary through the estimator's own accessors.
 func SnapshotOf(algo string, e Estimator, m int64, extra []byte) []byte {
 	st := CopyState{
 		Algo:       algo,
@@ -139,19 +118,6 @@ func SnapshotOf(algo string, e Estimator, m int64, extra []byte) []byte {
 		Extra:      extra,
 	}
 	return st.Encode()
-}
-
-// DecodeRestore parses a snapshot and checks it carries the expected
-// algorithm tag — the shared front half of every Restore implementation.
-func DecodeRestore(b []byte, algo string) (*CopyState, error) {
-	st, err := DecodeCopyState(b)
-	if err != nil {
-		return nil, err
-	}
-	if st.Algo != algo {
-		return nil, fmt.Errorf("stream: snapshot is for algorithm %q, not %q", st.Algo, algo)
-	}
-	return &st, nil
 }
 
 // MergeMedianSet combines per-copy snapshots into the median-of-k summary:

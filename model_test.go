@@ -155,7 +155,7 @@ func TestEstimateArbitraryDeterministicAndParallel(t *testing.T) {
 }
 
 // Facade equivalence: Estimate over the AL stream with Model arbitrary must
-// equal EstimateArbitrary over the explicitly derived stream, and the
+// equal EstimateArbitraryContext over the explicitly derived stream, and the
 // single-copy run must use Seed itself (the multi-copy schedule only kicks
 // in for copies > 1).
 func TestEstimateArbitraryMatchesDirect(t *testing.T) {
@@ -169,7 +169,7 @@ func TestEstimateArbitraryMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := EstimateArbitrary(NewArbitraryStream(s), opts)
+	direct, err := EstimateArbitraryContext(context.Background(), NewArbitraryStream(s), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestEstimateArbitraryMatchesDirect(t *testing.T) {
 	// Model may be left empty on the direct route…
 	noModel := opts
 	noModel.Model = ""
-	res, err := EstimateArbitrary(NewArbitraryStream(s), noModel)
+	res, err := EstimateArbitraryContext(context.Background(), NewArbitraryStream(s), noModel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,8 +189,8 @@ func TestEstimateArbitraryMatchesDirect(t *testing.T) {
 	// …but the adjacency-list model is rejected there.
 	alModel := opts
 	alModel.Model = ModelAdjacencyList
-	if _, err := EstimateArbitrary(NewArbitraryStream(s), alModel); !errors.Is(err, ErrInvalidOptions) {
-		t.Fatalf("AL model on EstimateArbitrary: err = %v", err)
+	if _, err := EstimateArbitraryContext(context.Background(), NewArbitraryStream(s), alModel); !errors.Is(err, ErrInvalidOptions) {
+		t.Fatalf("AL model on EstimateArbitraryContext: err = %v", err)
 	}
 }
 
@@ -247,7 +247,7 @@ func TestReadArbitraryStreamFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := EstimateArbitrary(s, Options{Algorithm: AlgoArbTwoPassWedge, SampleProb: 1, Seed: 1})
+	res, err := EstimateArbitraryContext(context.Background(), s, Options{Algorithm: AlgoArbTwoPassWedge, SampleProb: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,31 +42,15 @@ func EstimateShardContext(ctx context.Context, s *Stream, opts Options, lo, hi i
 	if lo < 0 || hi <= lo || hi > k {
 		return nil, fmt.Errorf("%w: copy range [%d,%d) outside [0,%d)", ErrInvalidOptions, lo, hi, k)
 	}
-	copies := make([]Estimator, hi-lo)
-	for i := range copies {
-		seed := opts.Seed
-		if k > 1 {
-			seed = opts.Seed + uint64(lo+i)*0x9e37_79b9 + 1
-		}
-		e, err := opts.wrapSingle(seed)
-		if err != nil {
-			return nil, err
-		}
-		if _, ok := e.(stream.Snapshotter); !ok {
-			return nil, fmt.Errorf("%w: algorithm %q does not support snapshots", ErrInvalidOptions, opts.Algorithm)
-		}
-		copies[i] = e
+	copies, err := buildCopies(opts, lo, hi, opts.wrapSingle)
+	if err != nil {
+		return nil, err
 	}
-	if opts.Parallel && len(copies) > 1 {
-		if _, err := stream.RunBroadcastContext(ctx, s, copies); err != nil {
-			return nil, canceled(err)
-		}
-	} else {
-		for _, e := range copies {
-			if err := stream.RunContext(ctx, s, e); err != nil {
-				return nil, canceled(err)
-			}
-		}
+	if _, ok := copies[0].(stream.Snapshotter); !ok {
+		return nil, fmt.Errorf("%w: algorithm %q does not support snapshots", ErrInvalidOptions, opts.Algorithm)
+	}
+	if _, _, err := opts.runCopies(ctx, s, copies); err != nil {
+		return nil, err
 	}
 	snaps := make([]CopySnapshot, len(copies))
 	for i, e := range copies {
@@ -95,8 +79,7 @@ func MergeSnapshots(snaps []CopySnapshot) (Result, error) {
 	}, nil
 }
 
-// SnapshotAlgorithm reports the algorithm tag a snapshot carries, without
-// restoring it.
+// SnapshotAlgorithm reports the algorithm tag a snapshot carries.
 func SnapshotAlgorithm(snap CopySnapshot) (Algorithm, error) {
 	cs, err := stream.DecodeCopyState(snap)
 	if err != nil {
