@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -350,5 +351,33 @@ func TestNewEstimatorBuildsOneCopy(t *testing.T) {
 	}
 	if est != res.Estimate || sp != res.SpaceWords {
 		t.Errorf("NewEstimator copy (%v, %d) != EstimateContext (%v, %d)", est, sp, res.Estimate, res.SpaceWords)
+	}
+}
+
+// Construction cost is independent of the requested budgets: estimator
+// state grows with what a run actually stores, so an absurd SampleSize or
+// PairCap (nothing bounds them in Validate) must not allocate at
+// construction. Each build is measured three times and the smallest
+// TotalAlloc delta is kept, so allocations by other goroutines of the
+// test binary cannot fail it.
+func TestNewEstimatorConstructionCostIgnoresBudgets(t *testing.T) {
+	const budget = 64 << 10
+	for _, a := range Algorithms() {
+		opts := Options{Algorithm: a, SampleSize: 1 << 40, PairCap: 1 << 40, Seed: 1}
+		least := uint64(math.MaxUint64)
+		for try := 0; try < 3; try++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			e, err := NewEstimator(opts)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatalf("%s: %v", a, err)
+			}
+			runtime.KeepAlive(e)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least > budget {
+			t.Errorf("%s: construction allocated %d bytes with SampleSize = PairCap = 1<<40, budget %d", a, least, budget)
+		}
 	}
 }
