@@ -194,7 +194,7 @@ func (w *WedgeSampler) EndPass(p int) { w.m = w.items / 2 }
 // Estimate returns closed·dilution/((5/2)·p₂); see the type comment for the
 // random-order analysis behind the factor 5/2.
 func (w *WedgeSampler) Estimate() float64 {
-	p2 := w.pairInclusionProb()
+	p2 := w.sampler.PairInclusionProb(w.m)
 	if p2 <= 0 {
 		return 0
 	}
@@ -203,24 +203,6 @@ func (w *WedgeSampler) Estimate() float64 {
 		dilution = float64(w.formed) / float64(w.wedges.Len())
 	}
 	return float64(w.closed) * dilution / (2.5 * p2)
-}
-
-func (w *WedgeSampler) pairInclusionProb() float64 {
-	switch s := w.sampler.(type) {
-	case *sampling.BottomK:
-		if w.m < 2 {
-			return 1
-		}
-		sz := int64(w.cfg.SampleSize)
-		if w.m < sz {
-			sz = w.m
-		}
-		return float64(sz) * float64(sz-1) / (float64(w.m) * float64(w.m-1))
-	case *sampling.FixedProb:
-		return s.P() * s.P()
-	default:
-		return 0
-	}
 }
 
 // ClosedWedges returns the number of live closed wedges.

@@ -28,18 +28,47 @@ func NewReservoir[T any](k int, seed uint64) *Reservoir[T] {
 // reservoir and, if accepting evicted a previous item, returns that item
 // with evicted=true.
 func (r *Reservoir[T]) Offer(item T) (victim T, evicted, accepted bool) {
-	r.n++
-	if len(r.items) < r.k {
+	switch slot := r.admit(); {
+	case slot < 0:
+		return victim, false, false
+	case slot == len(r.items):
 		r.items = append(r.items, item)
 		return victim, false, true
+	default:
+		victim, r.items[slot] = r.items[slot], item
+		return victim, true, true
+	}
+}
+
+// OfferSlot is Offer for callers that keep per-item state beside the
+// reservoir, indexed like Items(): it returns the index the item now
+// occupies (-1 if it was rejected) and whether it replaced the item
+// previously at that index. The random decisions are Offer's.
+func (r *Reservoir[T]) OfferSlot(item T) (slot int, replaced bool) {
+	slot = r.admit()
+	switch {
+	case slot < 0:
+	case slot == len(r.items):
+		r.items = append(r.items, item)
+	default:
+		r.items[slot] = item
+		replaced = true
+	}
+	return slot, replaced
+}
+
+// admit counts one offered item and returns the index it takes:
+// len(items) to append, an occupied index to replace, or -1 to reject.
+func (r *Reservoir[T]) admit() int {
+	r.n++
+	if len(r.items) < r.k {
+		return len(r.items)
 	}
 	j := r.rng.Int64N(r.n)
 	if j >= int64(r.k) {
-		return victim, false, false
+		return -1
 	}
-	victim = r.items[j]
-	r.items[j] = item
-	return victim, true, true
+	return int(j)
 }
 
 // Items returns the current sample. The slice is shared; do not modify.
