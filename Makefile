@@ -65,8 +65,11 @@ bench-baseline: bench-json
 
 # Key benchmarks that gate performance regressions. Sub-benchmarks of these
 # are gated too; everything else is context-only in the benchdiff table.
-BENCH_GATE_KEYS = BenchmarkBroadcastK32|BenchmarkExactKernels|BenchmarkEstimateColdVsCached|BenchmarkArbFourCycle
-BENCH_GATE_PKGS = ./internal/stream/ ./internal/graph/ ./internal/serve/ ./internal/arbitrary/
+# BenchmarkEstimatorCopy runs one copy of each adjacency-list estimator on
+# the repository benchmark's cl2k graph. Keep this list and benchdiff's
+# default -keys in step.
+BENCH_GATE_KEYS = BenchmarkBroadcastK32|BenchmarkExactKernels|BenchmarkEstimateColdVsCached|BenchmarkArbFourCycle|BenchmarkEstimatorCopy
+BENCH_GATE_PKGS = ./internal/stream/ ./internal/graph/ ./internal/serve/ ./internal/arbitrary/ .
 
 # Perf regression gate: run only the key benchmarks briefly, convert to
 # JSON, and diff against the newest committed BENCH_*.json baseline.

@@ -15,6 +15,7 @@ package adjstream
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"adjstream/internal/baseline"
@@ -453,6 +454,53 @@ func BenchmarkThroughputAdaptive(b *testing.B) {
 	benchThroughput(b, func(seed uint64) (stream.Estimator, error) {
 		return core.NewAdaptiveTwoPassTriangle(core.AdaptiveConfig{InitialSample: 2048, Seed: seed})
 	})
+}
+
+// BenchmarkEstimatorCopy runs one copy of every adjacency-list algorithm,
+// built through NewEstimator, over the cl2k graph of the repository
+// benchmark (perfbench/): Chung–Lu with n = 2000, γ = 2.2 and maximum
+// degree 400, in sorted order. The sample shapes are the ones perfbench
+// sends: sample_size 512 for the size-budgeted algorithms and sample_prob
+// 0.1 for twopass-fourcycle. Each iteration is a fresh seed. It reports
+// the cost of the estimator state per stream item (passes × 2m items) and
+// the bytes allocated per reported space word: the per-estimator view the
+// service-level benchmarks blur.
+func BenchmarkEstimatorCopy(b *testing.B) {
+	g, err := gen.ChungLu(2000, 2.2, 400, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := SortedStream(g)
+	for _, algo := range Algorithms() {
+		opts := Options{Algorithm: algo, SampleSize: 512}
+		switch algo {
+		case AlgoTwoPassFourCycle:
+			opts = Options{Algorithm: algo, SampleProb: 0.1}
+		case AlgoExact:
+			opts = Options{Algorithm: algo}
+		}
+		b.Run(string(algo), func(b *testing.B) {
+			var items, words float64
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				opts.Seed = uint64(i) + 1
+				e, err := NewEstimator(opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				stream.Run(s, e)
+				items += float64(s.Len()) * float64(e.Passes())
+				words += float64(e.SpaceWords())
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/items, "ns/item")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/items, "allocs/item")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/words, "B/word")
+		})
+	}
 }
 
 // BenchmarkGroundTruthCensus measures the full exact ground-truth battery

@@ -10,6 +10,9 @@
 // (goos, goarch, cpu, pkg) are recorded and attached to the benchmarks
 // that follow them. Custom metrics emitted via b.ReportMetric (relerr,
 // space-words, ...) are preserved alongside ns/op, B/op and allocs/op.
+// The report is stamped with the git commit of the working directory
+// (suffixed "-dirty" when tracked files differ from it) and with the
+// -count the benchmarks ran at: the most runs of any one benchmark.
 package main
 
 import (
@@ -19,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"runtime"
 	"strconv"
 	"strings"
@@ -40,6 +44,8 @@ type Report struct {
 	GOOS       string      `json:"goos,omitempty"`
 	GOARCH     string      `json:"goarch,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
+	Commit     string      `json:"commit,omitempty"`
+	Count      int         `json:"count"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
@@ -98,14 +104,36 @@ func parseBench(r io.Reader) (*Report, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	runs := make(map[[2]string]int)
+	for _, b := range rep.Benchmarks {
+		k := [2]string{b.Pkg, b.Name}
+		runs[k]++
+		rep.Count = max(rep.Count, runs[k])
+	}
 	return rep, nil
 }
 
-func run(in io.Reader, outPath string, now time.Time) error {
+// gitCommit returns the commit checked out in the working directory, with
+// "-dirty" appended when tracked files differ from it, or "" when git or
+// the repository is unavailable.
+func gitCommit() string {
+	head, err := exec.Command("git", "rev-parse", "HEAD").Output()
+	if err != nil {
+		return ""
+	}
+	commit := strings.TrimSpace(string(head))
+	if st, err := exec.Command("git", "status", "--porcelain", "--untracked-files=no").Output(); err == nil && len(st) > 0 {
+		commit += "-dirty"
+	}
+	return commit
+}
+
+func run(in io.Reader, outPath string, now time.Time, commit string) error {
 	rep, err := parseBench(in)
 	if err != nil {
 		return err
 	}
+	rep.Commit = commit
 	rep.Date = now.UTC().Format(time.RFC3339)
 	rep.GoVersion = runtime.Version()
 	buf, err := json.MarshalIndent(rep, "", "  ")
@@ -123,7 +151,7 @@ func run(in io.Reader, outPath string, now time.Time) error {
 func main() {
 	out := flag.String("out", "-", "output file (default stdout)")
 	flag.Parse()
-	if err := run(os.Stdin, *out, time.Now()); err != nil {
+	if err := run(os.Stdin, *out, time.Now(), gitCommit()); err != nil {
 		fmt.Fprintln(os.Stderr, "bench2json:", err)
 		os.Exit(1)
 	}

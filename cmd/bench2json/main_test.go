@@ -48,6 +48,29 @@ func TestParseBench(t *testing.T) {
 	if b2.Metrics["relerr"] != 0.125 || b2.Metrics["space-words"] != 4096 {
 		t.Errorf("custom metrics lost: %v", b2.Metrics)
 	}
+	if rep.Count != 1 {
+		t.Errorf("count = %d, want 1", rep.Count)
+	}
+}
+
+// A -count run repeats each benchmark line; the report records the count.
+// The same name in two packages is two benchmarks, not a repeat.
+func TestParseBenchCount(t *testing.T) {
+	const in = `pkg: a
+BenchmarkX-2 	 10	 100 ns/op
+BenchmarkX-2 	 10	 110 ns/op
+BenchmarkX-2 	 10	 105 ns/op
+BenchmarkY-2 	 10	 100 ns/op
+pkg: b
+BenchmarkX-2 	 10	 100 ns/op
+`
+	rep, err := parseBench(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Count != 3 {
+		t.Fatalf("count = %d, want 3", rep.Count)
+	}
 }
 
 func TestParseBenchEmpty(t *testing.T) {

@@ -49,10 +49,12 @@ type Report struct {
 	GOOS       string      `json:"goos,omitempty"`
 	GOARCH     string      `json:"goarch,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
+	Commit     string      `json:"commit,omitempty"`
+	Count      int         `json:"count"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
-const defaultKeys = "BenchmarkBroadcastK32,BenchmarkExactKernels,BenchmarkEstimateColdVsCached,BenchmarkArbFourCycle"
+const defaultKeys = "BenchmarkBroadcastK32,BenchmarkExactKernels,BenchmarkEstimateColdVsCached,BenchmarkArbFourCycle,BenchmarkEstimatorCopy"
 
 // stripProcs removes Go's -<GOMAXPROCS> suffix (BenchmarkFoo-8 → BenchmarkFoo)
 // so reports taken on machines with different core counts line up.
@@ -222,8 +224,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	baseIdx, newIdx := index(baseRep), index(newRep)
 	rows := diff(baseIdx, newIdx, keys)
-	fmt.Fprintf(stdout, "baseline: %s (%s)\n", *basePath, baseRep.Date)
-	fmt.Fprintf(stdout, "new:      %s (%s)\n\n", *newPath, newRep.Date)
+	fmt.Fprintf(stdout, "baseline: %s (%s, commit %q, -count %d)\n", *basePath, baseRep.Date, baseRep.Commit, baseRep.Count)
+	fmt.Fprintf(stdout, "new:      %s (%s, commit %q, -count %d)\n\n", *newPath, newRep.Date, newRep.Commit, newRep.Count)
 	fmt.Fprintln(stdout, "| benchmark | baseline ns/op | new ns/op | delta | gate |")
 	fmt.Fprintln(stdout, "|---|---:|---:|---:|---|")
 	keyedSeen := 0
