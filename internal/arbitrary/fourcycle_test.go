@@ -198,6 +198,61 @@ func TestFourCycleSpaceGrowsWithP(t *testing.T) {
 	}
 }
 
+// TestFourCycleExactCodegree checks every tracked pair's co-degree against
+// the graph's |N(light) ∩ N(heavy)|, for both estimators, over several
+// graphs, seeds and rates. Pass three counts each edge from the smaller of
+// two sides, the heavy endpoint's pairs or the light vertices next to the
+// other endpoint; the test also checks that both sides were taken, so each
+// is pinned pair by pair rather than only through the estimate's sum.
+func TestFourCycleExactCodegree(t *testing.T) {
+	hub, err := gen.ChungLu(300, 2.1, 120, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := fourCycleFamilies(t)
+	graphs["hub"] = hub
+	var fromPairs, fromLights int
+	for name, g := range graphs {
+		for _, p := range []float64{0.2, 0.5, 1} {
+			s := FromGraph(g, 3)
+			for seed := uint64(1); seed <= 2; seed++ {
+				tp, err := NewThreePassFourCycle(p, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				no, err := NewNearOptFourCycle(p, 0, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for alg, tr := range map[Estimator]*pairTracker{tp: &tp.tracker, no: &no.tracker} {
+					Run(s, alg)
+					for _, pr := range tr.pairs {
+						if want := int64(g.CommonNeighbors(pr.light, pr.heavy)); pr.codeg != want {
+							t.Fatalf("%s p=%v seed %d %T: pair {%d,%d} codeg %d, want %d",
+								name, p, seed, alg, pr.light, pr.heavy, pr.codeg, want)
+						}
+					}
+					for _, e := range s.Edges() {
+						for _, ch := range [2][2]graph.V{{e.U, e.V}, {e.V, e.U}} {
+							ids, lights := tr.byHeavy.row(ch[1]), tr.nbrOf.row(ch[0])
+							switch {
+							case len(ids) == 0 || len(lights) == 0:
+							case len(ids) <= len(lights):
+								fromPairs++
+							default:
+								fromLights++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if fromPairs == 0 || fromLights == 0 {
+		t.Fatalf("pass three probed from the heavy endpoint's pairs %d times and from the light vertices %d times; want both", fromPairs, fromLights)
+	}
+}
+
 // The pending-set orientation stores each tracked pair's neighbor set on
 // the endpoint with the smaller sampled degree, so a star center (huge
 // degree) must never own pending sets when paired against leaves.
@@ -219,7 +274,7 @@ func TestFourCyclePendingOnLightSide(t *testing.T) {
 		t.Fatal(err)
 	}
 	Run(s, alg)
-	for _, tp := range alg.tracker.list {
+	for _, tp := range alg.tracker.pairs {
 		if tp.light == hub {
 			t.Fatalf("pair {%d,%d}: hub oriented light (pending set on the star center)", tp.light, tp.heavy)
 		}
