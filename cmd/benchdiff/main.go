@@ -13,7 +13,8 @@
 // By default the baseline is the lexicographically newest BENCH_*.json in
 // -dir (the date-stamped names sort chronologically). Benchmarks are
 // matched after stripping Go's trailing -<GOMAXPROCS> suffix, so reports
-// from machines with different core counts still compare. Only the
+// from machines with different core counts still compare, and a benchmark
+// run with -count N is represented by the median of its N runs. Only the
 // benchmarks named by -keys gate the exit status; everything present in
 // both reports is shown in the delta table for context.
 //
@@ -33,6 +34,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"adjstream/internal/stats"
 )
 
 // Benchmark and Report mirror cmd/bench2json's JSON document.
@@ -72,18 +75,27 @@ func stripProcs(name string) string {
 }
 
 // index maps stripped benchmark name → ns/op. Sub-benchmarks keep their
-// /sub path; duplicates (same name from multiple packages) keep the first.
+// /sub path. A name run several times in one package (-count N) gets the
+// median of its runs; a name found in several packages keeps the first
+// package's.
 func index(rep *Report) map[string]float64 {
-	m := make(map[string]float64, len(rep.Benchmarks))
+	pkgOf := make(map[string]string, len(rep.Benchmarks))
+	runs := make(map[string][]float64, len(rep.Benchmarks))
 	for _, b := range rep.Benchmarks {
 		ns, ok := b.Metrics["ns/op"]
 		if !ok {
 			continue
 		}
 		name := stripProcs(b.Name)
-		if _, dup := m[name]; !dup {
-			m[name] = ns
+		if pkg, seen := pkgOf[name]; seen && pkg != b.Pkg {
+			continue
 		}
+		pkgOf[name] = b.Pkg
+		runs[name] = append(runs[name], ns)
+	}
+	m := make(map[string]float64, len(runs))
+	for name, ns := range runs {
+		m[name] = stats.Median(ns)
 	}
 	return m
 }

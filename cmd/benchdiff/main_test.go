@@ -71,6 +71,53 @@ func TestRunOKWithinThreshold(t *testing.T) {
 	}
 }
 
+// TestRunMedianOfCount gates on the median of a benchmark's -count runs,
+// so one outlying run, here the first, neither fails the gate nor sets the
+// baseline. A name that two packages report keeps the first package's
+// runs.
+func TestRunMedianOfCount(t *testing.T) {
+	dir := t.TempDir()
+	write := func(path string, runs []Benchmark) {
+		buf, err := json.Marshal(Report{Date: "d", Count: 3, Benchmarks: runs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bench := func(pkg, name string, ns float64) Benchmark {
+		return Benchmark{Name: name, Pkg: pkg, Iterations: 100, Metrics: map[string]float64{"ns/op": ns}}
+	}
+	write(filepath.Join(dir, "BENCH_2026-01-01.json"), []Benchmark{
+		bench("adjstream", "BenchmarkEstimatorCopy/twopass-triangle-2", 400),
+		bench("adjstream", "BenchmarkEstimatorCopy/twopass-triangle-2", 1000),
+		bench("adjstream", "BenchmarkEstimatorCopy/twopass-triangle-2", 1010),
+		bench("adjstream/internal/stream", "BenchmarkBroadcastK32-2", 1000),
+		bench("adjstream/internal/graph", "BenchmarkBroadcastK32-2", 50),
+	})
+	newPath := filepath.Join(dir, "new.json")
+	write(newPath, []Benchmark{
+		bench("adjstream", "BenchmarkEstimatorCopy/twopass-triangle-2", 5000),
+		bench("adjstream", "BenchmarkEstimatorCopy/twopass-triangle-2", 1020),
+		bench("adjstream", "BenchmarkEstimatorCopy/twopass-triangle-2", 990),
+		bench("adjstream/internal/stream", "BenchmarkBroadcastK32-2", 1050),
+		bench("adjstream/internal/graph", "BenchmarkBroadcastK32-2", 5000),
+	})
+	var out, errw bytes.Buffer
+	if code := run([]string{"-dir", dir, "-new", newPath}, &out, &errw); code != 0 {
+		t.Fatalf("exit %d, want 0: %s\n%s", code, errw.String(), out.String())
+	}
+	for _, row := range []string{
+		"| BenchmarkEstimatorCopy/twopass-triangle | 1000.0 | 1020.0 |",
+		"| BenchmarkBroadcastK32 | 1000.0 | 1050.0 |",
+	} {
+		if !strings.Contains(out.String(), row) {
+			t.Fatalf("want row %q in:\n%s", row, out.String())
+		}
+	}
+}
+
 func TestRunRegressionFails(t *testing.T) {
 	dir := t.TempDir()
 	writeReport(t, filepath.Join(dir, "BENCH_2026-01-01.json"), "old", map[string]float64{

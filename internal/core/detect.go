@@ -86,41 +86,66 @@ func (d *detector) notePos(owner graph.V, pos int) {
 	}
 }
 
+// retire takes the records on owner's list off the lists, in the pass
+// after sampling, as owner's list starts. A record enters the sample in the
+// list of its first endpoint, so every record still on owner's list has
+// posFirst at this list, and that pass looks for apexes only before
+// posFirst: the record can add no pair any more. Retired records stay alive
+// for the pairs that hold them.
+func (d *detector) retire(owner graph.V) { d.recs.detach(owner) }
+
 // len returns the number of live tracked edges.
 func (d *detector) len() int { return d.recs.live }
 
-// watcher counts, during a designated pass, the adjacency lists whose owner
-// is adjacent to both endpoints {x,y} of its slab node and arrives at a
-// position strictly greater than thresh — exactly the quantity H_{e',τ}
-// when thresh is the position of τ's apex with respect to e' = {x,y} (or
-// the exact triangle load T(e') when thresh is 0).
+// load counts, in the counting pass, the adjacency lists that name both
+// endpoints {x,y} of its bag node — the apexes of triangles on {x,y} —
+// from the list after it was made. One load serves every watcher of {x,y};
+// refs counts them, and the last to leave removes it.
+type load struct {
+	count int64
+	refs  int32
+}
+
+// watcher reads one H value off a load: H_{e′,τ}, the number of lists
+// after position thresh that close e′, when thresh is the position of τ's
+// apex with respect to e′ (or the exact triangle load T(e′) when thresh is
+// 0). base is the load's count when the counting pass reached list
+// thresh+1, so H is the final count minus base. A watcher whose base is
+// still to be read sits at index queued of the pending queue.
 type watcher struct {
+	load   int32 // load slot; -1 while the watcher is unregistered
+	queued int32 // index in triState.pending; -1 when not queued
 	thresh int
-	count  int64
+	base   int64
 }
 
 // triState is the tracked state of the triangle estimators: the sampled
-// edges' records (kind 0) and the collected triangles' watchers (kind 1),
-// threaded through one vertex index so each stream item looks its
+// edges' records (kind 0) and the loads their pairs' watchers read (kind
+// 1), threaded through one vertex index so each stream item looks its
 // neighbour up once for both. The three watchers of the triangle pair at
-// index j of the pair store (reservoir slot, or collection index) occupy
-// watcher slots 3j, 3j+1 and 3j+2.
+// index j of the pair store (reservoir slot, or collection index) are
+// watch[3j], watch[3j+1] and watch[3j+2].
 type triState struct {
-	lists vertexLists
-	det   detector
-	watch slab[watcher]
+	lists    vertexLists
+	det      detector
+	shared   bag[load]  // the loads, one per watched edge
+	byEdge   flat.Table // packed edge → load slot
+	freeLoad []int32    // load slots released by their last watcher
+	watch    []watcher
+	pending  []int32 // min-heap of watcher ids by thresh: bases still to read
 }
 
 func newTriState() *triState {
 	st := &triState{}
 	st.det.recs = newSlab[edgeRec](&st.lists, 0)
-	st.watch = newSlab[watcher](&st.lists, 1)
+	st.shared = newBag[load](&st.lists, 1)
 	return st
 }
 
 // touch marks nbr's appearance in the current list on the tracked edges
-// (when recs) and on the watchers (when watch), with one lookup of nbr.
-func (st *triState) touch(nbr graph.V, recs, watch bool) {
+// (when recs) and on the loads (when loads), with one lookup of nbr. A load
+// counts the list at its second touch.
+func (st *triState) touch(nbr graph.V, recs, loads bool) {
 	e := st.lists.find(nbr)
 	if e == nil {
 		return
@@ -128,19 +153,34 @@ func (st *triState) touch(nbr graph.V, recs, watch bool) {
 	if recs {
 		st.det.recs.touch(st.lists.ids(e[0]))
 	}
-	if watch {
-		st.watch.touch(st.lists.ids(e[1]))
+	if loads {
+		for _, id := range st.lists.ids(e[1]) {
+			if st.shared.closes(id) {
+				st.shared.ent[id].val.count++
+			}
+		}
 	}
 }
 
-// finishWatch increments every watcher closed by the list that just ended
-// at position pos whose threshold lies below pos.
-func (st *triState) finishWatch(pos int) {
-	st.watch.finishList(func(id int32) {
-		if w := &st.watch.ent[id].val; pos > w.thresh {
-			w.count++
+// startList begins the list at position pos of the counting pass: every
+// queued watcher whose threshold lies below pos reads its base.
+func (st *triState) startList(pos int) {
+	st.shared.nextList()
+	st.settle(pos)
+}
+
+// settle reads the base of every queued watcher whose threshold lies below
+// pos. At the end of the counting pass, settle(math.MaxInt) reads the rest,
+// whose H is then 0.
+func (st *triState) settle(pos int) {
+	for len(st.pending) > 0 {
+		w := &st.watch[st.pending[0]]
+		if w.thresh >= pos {
+			return
 		}
-	})
+		w.base = st.shared.ent[w.load].val.count
+		st.unqueue(st.pending[0])
+	}
 }
 
 // trianglePair is a collected (sampled edge, triangle) pair: the edge's
@@ -151,21 +191,135 @@ type trianglePair struct {
 	apex graph.V
 }
 
-// watchPair registers the three watchers of the pair at index j: one for
-// the sampled edge {u,v} with threshold t0, one for {u,apex} with t1 and
-// one for {v,apex} with t2.
-func (st *triState) watchPair(j int, u, v, apex graph.V, t0, t1, t2 int) {
-	base := int32(3 * j)
-	st.watch.put(base, u, v, watcher{thresh: t0})
-	st.watch.put(base+1, u, apex, watcher{thresh: t1})
-	st.watch.put(base+2, v, apex, watcher{thresh: t2})
+// watchPair points the three watchers of the pair at index j at the loads
+// of {u,v}, {u,apex} and {v,apex}, with thresholds t[0], t[1] and t[2],
+// once the counting pass has finished the lists up to position pos (0
+// before it starts). No threshold lies below pos.
+func (st *triState) watchPair(j int, u, v, apex graph.V, t [3]int, pos int) {
+	st.watchers(j) // grows the watcher array to reach pair j
+	w := int32(3 * j)
+	st.watchEdge(w, u, v, t[0], pos)
+	st.watchEdge(w+1, u, apex, t[1], pos)
+	st.watchEdge(w+2, v, apex, t[2], pos)
 }
 
-// unwatchPair unlinks the watchers of the pair at index j.
-func (st *triState) unwatchPair(j int) {
-	for i := int32(3 * j); i < int32(3*j+3); i++ {
-		st.watch.unlink(i)
+// watchers returns the three watchers of the pair at index j, growing the
+// watcher array to reach them.
+func (st *triState) watchers(j int) []watcher {
+	for len(st.watch) < 3*j+3 {
+		st.watch = append(st.watch, watcher{load: -1, queued: -1})
 	}
+	return st.watch[3*j : 3*j+3]
+}
+
+// watchEdge points the unregistered watcher w at the load of {x,y}, making
+// the load if no watcher reads it yet. A threshold at pos reads its base
+// now — the load has counted every list up to pos that it will count — and
+// a later one is queued, or re-keyed if w's previous occupant was queued.
+func (st *triState) watchEdge(w int32, x, y graph.V, thresh, pos int) {
+	key := sampling.PackEdge(x, y)
+	id, ok := st.byEdge.Get(key)
+	if !ok {
+		id = int32(len(st.shared.ent))
+		if n := len(st.freeLoad); n > 0 {
+			id, st.freeLoad = st.freeLoad[n-1], st.freeLoad[:n-1]
+		}
+		st.shared.put(id, x, y, load{})
+		st.byEdge.Put(key, id)
+	}
+	l := &st.shared.ent[id]
+	l.val.refs++
+	wt := &st.watch[w]
+	wt.load, wt.thresh = id, thresh
+	if thresh <= pos {
+		wt.base = l.val.count
+		st.unqueue(w)
+	} else {
+		st.queue(w)
+	}
+}
+
+// unwatchPair unregisters the watchers of the pair at index j, removing
+// each load no other watcher reads. Their queue entries stay for the
+// watchers that take their places to re-key.
+func (st *triState) unwatchPair(j int) {
+	for w := 3 * j; w < 3*j+3; w++ {
+		id := st.watch[w].load
+		if id < 0 {
+			continue
+		}
+		st.watch[w].load = -1
+		l := &st.shared.ent[id]
+		if l.val.refs--; l.val.refs > 0 {
+			continue
+		}
+		st.byEdge.Delete(sampling.PackEdge(graph.V(l.at[0]), graph.V(l.at[1])))
+		st.shared.remove(id)
+		st.freeLoad = append(st.freeLoad, id)
+	}
+}
+
+// queue puts watcher w on the pending queue at its threshold, or moves it
+// there if it is queued already. The queue thus holds each watcher at most
+// once.
+func (st *triState) queue(w int32) {
+	i := st.watch[w].queued
+	if i < 0 {
+		i = int32(len(st.pending))
+		st.pending = append(st.pending, w)
+		st.watch[w].queued = i
+	}
+	st.fix(i)
+}
+
+// unqueue takes watcher w off the pending queue, if it is on it.
+func (st *triState) unqueue(w int32) {
+	i := st.watch[w].queued
+	if i < 0 {
+		return
+	}
+	st.watch[w].queued = -1
+	last := int32(len(st.pending) - 1)
+	moved := st.pending[last]
+	st.pending = st.pending[:last]
+	if i != last {
+		st.pending[i] = moved
+		st.watch[moved].queued = i
+		st.fix(i)
+	}
+}
+
+// fix restores the queue's heap order around index i.
+func (st *triState) fix(i int32) {
+	h, w := st.pending, st.watch
+	id := h[i]
+	t := w[id].thresh
+	for i > 0 {
+		p := (i - 1) / 2
+		if w[h[p]].thresh <= t {
+			break
+		}
+		h[i] = h[p]
+		w[h[i]].queued = i
+		i = p
+	}
+	for n := int32(len(h)); ; {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && w[h[c+1]].thresh < w[h[c]].thresh {
+			c++
+		}
+		if t <= w[h[c]].thresh {
+			break
+		}
+		h[i] = h[c]
+		w[h[i]].queued = i
+		i = c
+	}
+	h[i] = id
+	w[id].queued = i
 }
 
 // edge returns the endpoints (u < v) of the pair's sampled edge.
@@ -174,11 +328,17 @@ func (st *triState) edge(pr trianglePair) (u, v graph.V) {
 	return graph.V(at[0]), graph.V(at[1])
 }
 
-// loads returns the watcher counts of the pair at index j: the loads of
-// {u,v}, {u,apex} and {v,apex}.
+// loads returns the H values of the pair at index j: those of {u,v},
+// {u,apex} and {v,apex}. They are final once the counting pass has ended;
+// before a watcher is registered its H reads 0.
 func (st *triState) loads(j int) [3]int64 {
-	w := st.watch.ent[3*j : 3*j+3]
-	return [3]int64{w[0].val.count, w[1].val.count, w[2].val.count}
+	var h [3]int64
+	for i, w := range st.watchers(j) {
+		if w.load >= 0 {
+			h[i] = st.shared.ent[w.load].val.count - w.base
+		}
+	}
+	return h
 }
 
 // rho reports whether the triangle of the pair at index j has its argmin

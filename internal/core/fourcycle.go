@@ -63,7 +63,7 @@ type TwoPassFourCycle struct {
 	sampler sampling.EdgeSampler
 
 	lists       vertexLists
-	wedges      slab[sampledWedge] // Q; slot j is slot j of kept under a cap
+	wedges      bag[sampledWedge] // Q; slot j is slot j of kept under a cap
 	kept        *sampling.Reservoir[struct{}]
 	totalWedges int64 // wedges formed (before any cap)
 
@@ -82,7 +82,7 @@ func NewTwoPassFourCycle(cfg FourCycleConfig) (*TwoPassFourCycle, error) {
 		return nil, err
 	}
 	f := &TwoPassFourCycle{cfg: cfg}
-	f.wedges = newSlab[sampledWedge](&f.lists, 0)
+	f.wedges = newBag[sampledWedge](&f.lists, 0)
 	if cfg.SampleSize > 0 {
 		f.sampler = sampling.NewBottomK(cfg.SampleSize, cfg.Seed, nil)
 	} else {
@@ -105,7 +105,11 @@ func (f *TwoPassFourCycle) StartPass(p int) {
 }
 
 // StartList implements stream.Algorithm.
-func (f *TwoPassFourCycle) StartList(owner graph.V) {}
+func (f *TwoPassFourCycle) StartList(owner graph.V) {
+	if f.pass == 1 {
+		f.wedges.nextList()
+	}
+}
 
 // Edge implements stream.Algorithm.
 func (f *TwoPassFourCycle) Edge(owner, nbr graph.V) {
@@ -114,25 +118,24 @@ func (f *TwoPassFourCycle) Edge(owner, nbr graph.V) {
 		f.items++
 		f.sampler.Offer(owner, nbr)
 	case 1:
-		if e := f.lists.find(nbr); e != nil {
-			f.wedges.touch(f.lists.ids(e[0]))
+		e := f.lists.find(nbr)
+		if e == nil {
+			return
+		}
+		for _, id := range f.lists.ids(e[0]) {
+			// owner adjacent to both wedge endpoints closes a 4-cycle,
+			// unless owner is the wedge's own center.
+			if f.wedges.closes(id) {
+				if w := &f.wedges.ent[id].val; owner != w.center {
+					w.count++
+				}
+			}
 		}
 	}
 }
 
 // EndList implements stream.Algorithm.
-func (f *TwoPassFourCycle) EndList(owner graph.V) {
-	if f.pass != 1 {
-		return
-	}
-	f.wedges.finishList(func(id int32) {
-		// owner adjacent to both wedge endpoints closes a 4-cycle, unless
-		// owner is the wedge's own center.
-		if w := &f.wedges.ent[id].val; owner != w.center {
-			w.count++
-		}
-	})
-}
+func (f *TwoPassFourCycle) EndList(owner graph.V) {}
 
 // EndPass implements stream.Algorithm.
 func (f *TwoPassFourCycle) EndPass(p int) {
@@ -185,7 +188,7 @@ func (f *TwoPassFourCycle) keepWedge(a, center, b graph.V) {
 		}
 	}
 	if replaced {
-		f.wedges.unlink(int32(slot))
+		f.wedges.remove(int32(slot))
 		f.meter.Release(space.WordsPerWedge + space.WordsPerCounter)
 	}
 	f.wedges.put(int32(slot), a, b, sampledWedge{center: center})

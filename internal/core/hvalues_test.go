@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -133,5 +134,120 @@ func TestHValuesHandExample(t *testing.T) {
 	// the estimate is exact regardless.
 	if alg.Estimate() != 3 {
 		t.Fatalf("estimate = %v", alg.Estimate())
+	}
+}
+
+// pairH returns the definitional H values of a collected pair — its sampled
+// edge {u,v} with apex a — in the order triState.loads reports them.
+func pairH(g *graph.Graph, s *stream.Stream, u, v, a graph.V) [3]int64 {
+	return [3]int64{
+		referenceH(g, s, graph.Edge{U: u, V: v}, a),
+		referenceH(g, s, graph.Edge{U: u, V: a}.Norm(), v),
+		referenceH(g, s, graph.Edge{U: v, V: a}.Norm(), u),
+	}
+}
+
+// replacementProbe runs a TwoPassTriangle and notes, at the end of pass one,
+// how many pairs the reservoir was offered and which it holds, so a test
+// can tell that both passes replaced pairs.
+type replacementProbe struct {
+	*TwoPassTriangle
+	offeredPassOne int64
+	afterPassOne   []trianglePair
+}
+
+func (p *replacementProbe) EndPass(pass int) {
+	p.TwoPassTriangle.EndPass(pass)
+	if pass == 0 {
+		p.offeredPassOne = p.pairs.Offered()
+		p.afterPassOne = append([]trianglePair(nil), p.pairs.Items()...)
+	}
+}
+
+// The watchers read the definitional H values also when the edge sample and
+// the pair reservoir both evict: pairs are replaced in pass one (before
+// their watchers exist) and in pass two (when a replacement releases loads
+// other watchers may share), and several watchers read one load.
+func TestWatcherCountsEqualDefinitionalHUnderReplacement(t *testing.T) {
+	g, err := gen.ErdosRenyi(40, 0.3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orders := map[string]*stream.Stream{"sorted": stream.Sorted(g)}
+	for seed := uint64(1); seed <= 3; seed++ {
+		orders[fmt.Sprintf("random%d", seed)] = stream.Random(g, seed)
+	}
+	for name, s := range orders {
+		for seed := uint64(1); seed <= 4; seed++ {
+			alg, err := NewTwoPassTriangle(TriangleConfig{SampleSize: 100, PairCap: 16, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			probe := &replacementProbe{TwoPassTriangle: alg}
+			stream.Run(s, probe)
+			if alg.SampledEdges() >= int(g.M()) {
+				t.Fatalf("%s seed %d: the edge sample never evicted", name, seed)
+			}
+			replacedInPassTwo := false
+			for j, pr := range alg.pairs.Items() {
+				if j < len(probe.afterPassOne) && pr != probe.afterPassOne[j] {
+					replacedInPassTwo = true
+				}
+			}
+			if probe.offeredPassOne <= int64(alg.pairs.Cap()) || !replacedInPassTwo {
+				t.Fatalf("%s seed %d: the pair reservoir did not replace pairs in both passes", name, seed)
+			}
+			live, shared := 0, false
+			for _, l := range alg.st.shared.ent {
+				shared = shared || l.val.refs > 1
+			}
+			for j, pr := range alg.pairs.Items() {
+				if !alg.st.det.recs.alive(pr.rec) {
+					continue
+				}
+				live++
+				u, v := alg.st.edge(pr)
+				if got, want := alg.st.loads(j), pairH(g, s, u, v, pr.apex); got != want {
+					t.Fatalf("%s seed %d: pair ({%d,%d}, apex %d): H = %v, want %v",
+						name, seed, u, v, pr.apex, got, want)
+				}
+			}
+			if live == 0 || !shared {
+				t.Fatalf("%s seed %d: %d live pairs, a load shared: %v", name, seed, live, shared)
+			}
+		}
+	}
+}
+
+// ThreePassTriangle's watchers read the exact triangle loads T(e′) of all
+// three edges of every collected triangle.
+func TestThreePassLoadsEqualExactTriangleLoads(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		g, err := gen.ErdosRenyi(30, 0.35, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := stream.Random(g, seed)
+		alg, err := NewThreePassTriangle(TriangleConfig{SampleSize: 60, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream.Run(s, alg)
+		if len(alg.pairs) == 0 || alg.PairsCollected() == len(alg.pairs) {
+			t.Fatalf("seed %d: %d live of %d collected pairs; want some, and some evicted",
+				seed, len(alg.pairs), alg.PairsCollected())
+		}
+		for i, pr := range alg.pairs {
+			u, v := alg.st.edge(pr)
+			a := pr.apex
+			want := [3]int64{
+				int64(g.CommonNeighbors(u, v)),
+				int64(g.CommonNeighbors(u, a)),
+				int64(g.CommonNeighbors(v, a)),
+			}
+			if got := alg.st.loads(i); got != want {
+				t.Fatalf("seed %d: pair ({%d,%d}, apex %d): loads %v, want %v", seed, u, v, a, got, want)
+			}
+		}
 	}
 }

@@ -66,7 +66,12 @@ func (n *NaiveTwoPass) StartPass(p int) {
 }
 
 // StartList implements stream.Algorithm.
-func (n *NaiveTwoPass) StartList(owner graph.V) { n.pos++ }
+func (n *NaiveTwoPass) StartList(owner graph.V) {
+	n.pos++
+	if n.pass == 1 {
+		n.st.det.retire(owner)
+	}
+}
 
 // Edge implements stream.Algorithm.
 func (n *NaiveTwoPass) Edge(owner, nbr graph.V) {

@@ -9,15 +9,23 @@ import (
 	"adjstream/internal/graph"
 )
 
-// The estimators' tracked state — sampled-edge records, H watchers,
-// sampled wedges — lives in slabs: value arrays under int32 slot ids. Each
-// entry sits on the lists of its two endpoint vertices, and a vertex's
-// list is a contiguous run of slot ids holding exactly its live entries in
-// the order they were added: removal closes the gap and leaves the order
-// of the rest alone, and nothing dead is ever walked. A removed slot is
-// reused by a later entry; refs carry the slot's generation so a reference
-// to the removed entry stays dead. Slabs and runs grow as entries are
-// added — they are never sized from a budget.
+// The estimators' tracked state — sampled-edge records, H/T loads, sampled
+// wedges — lives in slabs: value arrays under int32 slot ids. Each entry
+// sits on the lists of its two endpoint vertices, and a vertex's list is a
+// contiguous run of slot ids holding exactly its live entries, so nothing
+// dead is ever walked. Two kinds of slab share that layout:
+//
+//   - slab keeps every list in the order its entries were added: removal
+//     closes the gap and leaves the order of the rest alone. A removed slot
+//     is reused by a later entry; refs carry the slot's generation so a
+//     reference to the removed entry stays dead. Records live here, because
+//     the order in which they close feeds the pair reservoir.
+//   - bag keeps no order, because its entries only count: removal moves the
+//     list's last id into the hole, in O(1) since each entry records its
+//     index in both of its lists. Loads and wedges live here.
+//
+// Slabs and runs grow as entries are added — they are never sized from a
+// budget.
 
 // ref names one entry of a slab: its slot and the slot's generation when
 // the entry was added.
@@ -54,8 +62,8 @@ func (l *vertexLists) find(v graph.V) *[2]run {
 // ids returns the ids of run r. The slice is valid until the lists change.
 func (l *vertexLists) ids(r run) []int32 { return l.arena[r.off : r.off+r.n] }
 
-// add appends id to the kind-th list of v.
-func (l *vertexLists) add(v graph.V, kind int, id int32) {
+// add appends id to the kind-th list of v and returns its index there.
+func (l *vertexLists) add(v graph.V, kind int, id int32) int32 {
 	slot, ok := l.index.Get(uint64(v))
 	if !ok {
 		if n := len(l.free); n > 0 {
@@ -76,24 +84,57 @@ func (l *vertexLists) add(v graph.V, kind int, id int32) {
 	}
 	l.arena[r.off+r.n] = id
 	r.n++
+	return r.n - 1
 }
 
 // remove deletes id from the kind-th list of v, keeping the order of the
-// rest, and frees v's slot once all of its lists are empty.
+// rest.
 func (l *vertexLists) remove(v graph.V, kind int, id int32) {
 	slot, _ := l.index.Get(uint64(v))
-	rs := &l.runs[slot]
-	ids := l.ids(rs[kind])
+	r := &l.runs[slot][kind]
+	ids := l.ids(*r)
 	i := slices.Index(ids, id)
 	copy(ids[i:], ids[i+1:])
-	rs[kind].n--
-	if rs[0].n == 0 && rs[1].n == 0 {
-		l.release(rs[0].off, rs[0].cap)
-		l.release(rs[1].off, rs[1].cap)
-		*rs = [2]run{}
-		l.index.Delete(uint64(v))
-		l.free = append(l.free, slot)
+	r.n--
+	l.tidy(v, slot)
+}
+
+// swapRemove deletes the i-th id of the kind-th list of v by moving the
+// list's last id into its place, and returns the id it moved (-1 when the
+// i-th was the last).
+func (l *vertexLists) swapRemove(v graph.V, kind int, i int32) (moved int32) {
+	slot, _ := l.index.Get(uint64(v))
+	r := &l.runs[slot][kind]
+	r.n--
+	moved = -1
+	if i != r.n {
+		moved = l.arena[r.off+r.n]
+		l.arena[r.off+i] = moved
 	}
+	l.tidy(v, slot)
+	return moved
+}
+
+// clear empties the kind-th list of v, if v has one.
+func (l *vertexLists) clear(v graph.V, kind int) {
+	if slot, ok := l.index.Get(uint64(v)); ok {
+		l.runs[slot][kind].n = 0
+		l.tidy(v, slot)
+	}
+}
+
+// tidy releases v's lists, whose runs are at slot, once all of them are
+// empty.
+func (l *vertexLists) tidy(v graph.V, slot int32) {
+	rs := &l.runs[slot]
+	if rs[0].n != 0 || rs[1].n != 0 {
+		return
+	}
+	l.release(rs[0].off, rs[0].cap)
+	l.release(rs[1].off, rs[1].cap)
+	*rs = [2]run{}
+	l.index.Delete(uint64(v))
+	l.free = append(l.free, slot)
 }
 
 // alloc returns the offset of a block of size ids (a power of two),
@@ -194,6 +235,26 @@ func (s *slab[T]) unlink(id int32) {
 	s.live--
 }
 
+// detach takes every entry on v's list off both of its lists, keeping the
+// rest of each list in order. The entries stay linked — refs to them still
+// read alive — but no touch reaches them again, and they must not be
+// unlinked.
+func (s *slab[T]) detach(v graph.V) {
+	e := s.lists.find(v)
+	if e == nil {
+		return
+	}
+	for _, id := range s.lists.ids(e[s.kind]) {
+		at := s.ent[id].at
+		other := at[0]
+		if other == uint32(v) {
+			other = at[1]
+		}
+		s.lists.remove(graph.V(other), s.kind, id)
+	}
+	s.lists.clear(v, s.kind)
+}
+
 // touch marks one endpoint's appearance in the current adjacency list on
 // every entry of ids, that endpoint's list.
 func (s *slab[T]) touch(ids []int32) {
@@ -222,3 +283,76 @@ func (s *slab[T]) finishList(fn func(id int32)) {
 	s.epoch++
 	s.seq = 0
 }
+
+// bag holds entries on the kind-th lists of a vertexLists in no particular
+// order. Its entries count lists rather than report them: an entry touched
+// twice while one adjacency list is read has seen both of its endpoints,
+// and closes says so at the second touch, so there is nothing to collect or
+// sort when the list ends. The caller frees and reuses slots.
+type bag[T any] struct {
+	ent   []bagNode[T]
+	lists *vertexLists
+	kind  int
+	live  int
+	epoch uint32 // current list; entries touched in it carry this epoch
+}
+
+// bagNode is one bag entry: a payload, its two endpoints, its index in
+// each endpoint's list, and the list in which an endpoint last appeared.
+type bagNode[T any] struct {
+	val   T
+	at    [2]uint32
+	idx   [2]int32
+	epoch uint32
+}
+
+func newBag[T any](lists *vertexLists, kind int) bag[T] {
+	return bag[T]{lists: lists, kind: kind, epoch: 1}
+}
+
+// put stores an entry with endpoints x ≠ y in slot id, which must be free,
+// growing the bag to reach it, and adds it to x's and y's lists.
+func (b *bag[T]) put(id int32, x, y graph.V, val T) {
+	for int(id) >= len(b.ent) {
+		b.ent = append(b.ent, bagNode[T]{})
+	}
+	n := &b.ent[id]
+	n.val, n.at, n.epoch = val, [2]uint32{uint32(x), uint32(y)}, 0
+	n.idx[0] = b.lists.add(x, b.kind, id)
+	n.idx[1] = b.lists.add(y, b.kind, id)
+	b.live++
+}
+
+// remove takes the entry in slot id off both of its lists, moving each
+// list's last entry into its place; the slot is then free.
+func (b *bag[T]) remove(id int32) {
+	n := &b.ent[id]
+	for side, v := range n.at {
+		moved := b.lists.swapRemove(graph.V(v), b.kind, n.idx[side])
+		if moved < 0 {
+			continue
+		}
+		m := &b.ent[moved]
+		if m.at[0] == v {
+			m.idx[0] = n.idx[side]
+		} else {
+			m.idx[1] = n.idx[side]
+		}
+	}
+	b.live--
+}
+
+// closes marks one endpoint's appearance in the current adjacency list on
+// the entry in slot id and reports whether its other endpoint appeared in
+// that list too.
+func (b *bag[T]) closes(id int32) bool {
+	n := &b.ent[id]
+	if n.epoch == b.epoch {
+		return true
+	}
+	n.epoch = b.epoch
+	return false
+}
+
+// nextList starts a new adjacency list.
+func (b *bag[T]) nextList() { b.epoch++ }

@@ -21,7 +21,7 @@ import (
 type ThreePassTriangle struct {
 	sampler sampling.EdgeSampler
 	st      *triState
-	pairs   []trianglePair // from pass three on, live pairs only; pair i's loads are st watcher slots 3i..3i+2
+	pairs   []trianglePair // from pass three on, live pairs only; pair i's watchers are st.watch[3i..3i+2]
 	found   int            // pairs collected, including pairs of evicted edges
 	loaded  bool           // load watchers registered (end of pass two)
 
@@ -69,8 +69,13 @@ func (t *ThreePassTriangle) StartPass(p int) {
 // StartList implements stream.Algorithm.
 func (t *ThreePassTriangle) StartList(owner graph.V) {
 	t.pos++
-	if t.pass == 0 {
+	switch t.pass {
+	case 0:
 		t.st.det.notePos(owner, t.pos)
+	case 1:
+		t.st.det.retire(owner)
+	case 2:
+		t.st.startList(t.pos)
 	}
 }
 
@@ -102,8 +107,6 @@ func (t *ThreePassTriangle) EndList(owner graph.V) {
 				t.collect(id, owner)
 			}
 		})
-	case 2:
-		t.st.finishWatch(t.pos)
 	}
 }
 
@@ -114,7 +117,7 @@ func (t *ThreePassTriangle) EndPass(p int) {
 		t.m = t.items / 2
 	case 1:
 		// Drop the pairs of evicted edges, then register an exact-load
-		// counter (threshold 0 counts every apex) for each edge of each
+		// watcher (threshold 0 counts every apex) for each edge of each
 		// remaining triangle, counted during pass three.
 		live := t.pairs[:0]
 		for _, pr := range t.pairs {
@@ -125,7 +128,7 @@ func (t *ThreePassTriangle) EndPass(p int) {
 		t.pairs = live
 		for i, pr := range t.pairs {
 			u, v := t.st.edge(pr)
-			t.st.watchPair(i, u, v, pr.apex, 0, 0, 0)
+			t.st.watchPair(i, u, v, pr.apex, [3]int{}, 0)
 			t.meter.Charge(3 * space.WordsPerWatcher)
 		}
 		t.loaded = true

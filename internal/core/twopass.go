@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"adjstream/internal/graph"
 	"adjstream/internal/sampling"
@@ -63,15 +64,14 @@ func (c TriangleConfig) pairCap() int {
 type TwoPassTriangle struct {
 	sampler sampling.EdgeSampler
 	st      *triState
-	pairs   *sampling.Reservoir[trianglePair] // pair j's watchers: st slots 3j..3j+2
+	pairs   *sampling.Reservoir[trianglePair] // pair j's watchers: st.watch[3j..3j+2]
 
-	pass   int
-	pos    int   // current adjacency-list position (1-based)
-	items  int64 // items seen in pass one; m = items/2
-	m      int64
-	meter  space.Meter
-	tele   estTele
-	inList bool
+	pass  int
+	pos   int   // current adjacency-list position (1-based)
+	items int64 // items seen in pass one; m = items/2
+	m     int64
+	meter space.Meter
+	tele  estTele
 }
 
 var _ stream.Estimator = (*TwoPassTriangle)(nil)
@@ -107,16 +107,17 @@ func (t *TwoPassTriangle) Passes() int { return 2 }
 func (t *TwoPassTriangle) StartPass(p int) {
 	t.pass = p
 	t.pos = 0
-	t.inList = false
 }
 
 // StartList implements stream.Algorithm.
 func (t *TwoPassTriangle) StartList(owner graph.V) {
 	t.pos++
-	t.inList = true
 	if t.pass == 0 {
 		t.st.det.notePos(owner, t.pos)
+		return
 	}
+	t.st.det.retire(owner)
+	t.st.startList(t.pos)
 }
 
 // Edge implements stream.Algorithm.
@@ -134,9 +135,6 @@ func (t *TwoPassTriangle) Edge(owner, nbr graph.V) {
 
 // EndList implements stream.Algorithm.
 func (t *TwoPassTriangle) EndList(owner graph.V) {
-	if t.pass == 1 {
-		t.st.finishWatch(t.pos)
-	}
 	t.st.det.recs.finishList(func(id int32) {
 		// The edge's both endpoints appeared in owner's list: triangle
 		// (edge, owner). Pass one discovers apexes arriving after the edge
@@ -146,7 +144,6 @@ func (t *TwoPassTriangle) EndList(owner graph.V) {
 			t.addPair(id, owner)
 		}
 	})
-	t.inList = false
 }
 
 // EndPass implements stream.Algorithm.
@@ -155,29 +152,32 @@ func (t *TwoPassTriangle) EndPass(p int) {
 	t.tele.pairsKept.Set(int64(t.pairs.Len()))
 	t.tele.liveWords.Set(t.meter.Live())
 	if p != 0 {
+		t.st.settle(math.MaxInt)
 		t.tele.pairsFound.Add(t.pairs.Offered())
 		return
 	}
 	t.m = t.items / 2
-	// All endpoint positions are known now: set the thresholds deferred
-	// during pass one, and unlink the watchers of pairs whose edge was
-	// evicted (the pairs stay in Q, dead, and still count in N and |Q|).
+	// All endpoint positions are known now: register the watchers of the
+	// pairs whose edge survived, with the apex position addPair left in
+	// watcher 3j. The pairs of evicted edges stay in Q, dead, and still
+	// count in N and |Q|, but watch nothing.
 	for j, pr := range t.pairs.Items() {
 		if !t.st.det.recs.alive(pr.rec) {
-			t.st.unwatchPair(j)
 			continue
 		}
-		pos := t.st.det.recs.ent[pr.rec.id].val.pos
-		w := t.st.watch.ent[3*j : 3*j+3]
-		w[1].val.thresh, w[2].val.thresh = pos[1], pos[0]
+		n := &t.st.det.recs.ent[pr.rec.id]
+		t0 := t.st.watch[3*j].thresh
+		t.st.watchPair(j, graph.V(n.at[0]), graph.V(n.at[1]), pr.apex, [3]int{t0, n.val.pos[1], n.val.pos[0]}, 0)
 	}
 }
 
 // addPair records a discovered (edge, triangle) pair for the edge in record
 // slot id: counts it toward the pair total and offers it to the reservoir
-// Q, registering its three H watchers only if retained. The watchers of a
-// pair at {u,apex} and {v,apex} count from the positions of v's and u's
-// lists, which pass one may not have reached yet (-1 until EndPass).
+// Q. A pair retained in pass two registers its three H watchers at once;
+// one retained in pass one only leaves its apex position in watcher 3j,
+// because its watchers at {u,apex} and {v,apex} count from the positions
+// of v's and u's lists, which pass one may not have reached yet, and its
+// edge may yet be evicted. EndPass registers them.
 func (t *TwoPassTriangle) addPair(id int32, apex graph.V) {
 	j, replaced := t.pairs.OfferSlot(trianglePair{rec: t.st.det.recs.ref(id), apex: apex})
 	if replaced {
@@ -187,13 +187,13 @@ func (t *TwoPassTriangle) addPair(id int32, apex graph.V) {
 	if j < 0 {
 		return
 	}
-	n := &t.st.det.recs.ent[id]
-	t1, t2 := -1, -1
-	if t.pass == 1 {
-		t1, t2 = n.val.pos[1], n.val.pos[0]
-	}
-	t.st.watchPair(j, graph.V(n.at[0]), graph.V(n.at[1]), apex, t.pos, t1, t2)
 	t.meter.Charge(space.WordsPerTriangle + 3*space.WordsPerWatcher)
+	if t.pass == 0 {
+		t.st.watchers(j)[0].thresh = t.pos
+		return
+	}
+	n := &t.st.det.recs.ent[id]
+	t.st.watchPair(j, graph.V(n.at[0]), graph.V(n.at[1]), apex, [3]int{t.pos, n.val.pos[1], n.val.pos[0]}, t.pos)
 }
 
 // Estimate returns the triangle estimate
