@@ -52,8 +52,10 @@ cache-smoke:
 	$(GO) test -race -run 'TestCachedResponseByteIdenticalEveryAlgorithmAndDriver|TestCacheStampedeSingleRun' .
 
 # Full benchmark run archived as machine-readable JSON (see cmd/bench2json).
+# Three runs of each benchmark, so the archive carries a spread and
+# benchdiff compares their median.
 bench-json:
-	$(GO) test -run=NONE -bench=. -benchmem ./... \
+	$(GO) test -run=NONE -bench=. -benchmem -count 3 ./... \
 		| $(GO) run ./cmd/bench2json -out BENCH_$$(date +%Y-%m-%d).json
 
 # Refresh the committed benchmark baseline: full bench-json run, then stage

@@ -365,8 +365,12 @@ type Options struct {
 	Copies int
 	// Confidence, if set in (0,1), derives Copies from δ = 1-Confidence.
 	Confidence float64
-	// Parallel runs median copies concurrently (bounded by GOMAXPROCS).
-	// Results are identical to the sequential run; only wall time changes.
+	// Parallel runs median copies concurrently. Adjacency-list copies share
+	// the broadcast driver, whose workers are bounded by GOMAXPROCS;
+	// arbitrary-order copies each run on a goroutine of their own, one per
+	// copy, with no bound (ROADMAP item 2 moves them onto the broadcast
+	// driver). Results are identical to the sequential run; only wall time
+	// changes.
 	Parallel bool
 	// Driver must be empty or DriverBroadcast, the one parallel execution
 	// driver (one stream read per pass shared by all copies). Only
@@ -735,7 +739,26 @@ func EstimateContext(ctx context.Context, s *Stream, opts Options) (Result, erro
 	if err != nil {
 		return Result{}, err
 	}
-	return opts.medianRun(ctx, s, copies)
+	res, err := opts.medianRun(ctx, s, copies)
+	if err == nil {
+		recycle(copies)
+	}
+	return res, err
+}
+
+// recycler is a copy whose state a later copy of its type can reuse: the
+// core estimators (see DESIGN.md §4, "Copy lifecycle").
+type recycler interface{ Recycle() }
+
+// recycle hands back the state of every copy that can be recycled. Call it
+// only on copies whose run completed, after the last read of their
+// results; a canceled run's copies are dropped instead.
+func recycle(copies []Estimator) {
+	for _, e := range copies {
+		if r, ok := e.(recycler); ok {
+			r.Recycle()
+		}
+	}
 }
 
 // EstimateArbitraryContext builds opts.copies() independent copies of the
@@ -743,10 +766,11 @@ func EstimateContext(ctx context.Context, s *Stream, opts Options) (Result, erro
 // schedule), replays s through each under ctx, and reports the median.
 // Options.Model may be left empty — it is taken as ModelArbitrary — but
 // ModelAdjacencyList is rejected. Parallel runs the copies concurrently,
-// each replaying the edge sequence independently; results are identical to
-// the sequential run. Result.Driver is always empty: the parallel stream
-// drivers are an adjacency-list facility. Cancellation surfaces as
-// ErrCanceled; option errors wrap ErrUnknownAlgorithm or ErrInvalidOptions.
+// one goroutine per copy with no GOMAXPROCS bound, each replaying the edge
+// sequence independently; results are identical to the sequential run.
+// Result.Driver is always empty: the parallel stream drivers are an
+// adjacency-list facility. Cancellation surfaces as ErrCanceled; option
+// errors wrap ErrUnknownAlgorithm or ErrInvalidOptions.
 func EstimateArbitraryContext(ctx context.Context, s *ArbitraryStream, opts Options) (Result, error) {
 	if opts.Model != "" && opts.Model != ModelArbitrary {
 		return Result{}, fmt.Errorf("%w: EstimateArbitraryContext runs Model %q; got %q", ErrInvalidOptions, ModelArbitrary, opts.Model)
@@ -756,8 +780,9 @@ func EstimateArbitraryContext(ctx context.Context, s *ArbitraryStream, opts Opti
 		return Result{}, err
 	}
 	c := opts.copies()
+	n := s.N() // one scan of the edges, shared by every copy
 	copies, err := buildCopies(opts, 0, c, func(seed uint64) (arbitrary.Estimator, error) {
-		return opts.newArbitrary(seed, s.N())
+		return opts.newArbitrary(seed, n)
 	})
 	if err != nil {
 		return Result{}, err

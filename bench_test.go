@@ -467,14 +467,32 @@ func BenchmarkThroughputAdaptive(b *testing.B) {
 // NewArbitraryStream of the same stream, as Model arbitrary requests do.
 // Each iteration is a fresh seed. It reports the cost of the estimator
 // state per stream item (an item is one list entry, or one edge in the
-// arbitrary order, in one pass) and the bytes allocated per reported space
-// word: the per-estimator view the service-level benchmarks blur.
+// arbitrary order, in one pass), the bytes allocated per reported space
+// word, and the bytes a copy keeps live per word: the per-estimator view
+// the service-level benchmarks blur.
+//
+// The sub-benchmarks named by algorithm build every copy from zero state.
+// Those under recycled/ hand each copy back with Recycle once its words are
+// read, as the facade does, so every copy after the first is built on the
+// previous one's spent state.
 func BenchmarkEstimatorCopy(b *testing.B) {
 	g, err := gen.ChungLu(2000, 2.2, 400, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	s := SortedStream(g)
+	runCopy := func(b *testing.B, opts Options) func(seed uint64) (any, int64, int64) {
+		return func(seed uint64) (any, int64, int64) {
+			opts.Seed = seed
+			e, err := NewEstimator(opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			stream.Run(s, e)
+			return e, int64(s.Len()) * int64(e.Passes()), e.SpaceWords()
+		}
+	}
+	var recyclable []Options
 	for _, algo := range Algorithms() {
 		opts := Options{Algorithm: algo, SampleSize: 512}
 		switch algo {
@@ -483,16 +501,13 @@ func BenchmarkEstimatorCopy(b *testing.B) {
 		case AlgoExact:
 			opts = Options{Algorithm: algo}
 		}
+		if e, err := NewEstimator(opts); err == nil {
+			if _, ok := e.(recycler); ok {
+				recyclable = append(recyclable, opts)
+			}
+		}
 		b.Run(string(algo), func(b *testing.B) {
-			benchCopies(b, func(seed uint64) (items, words int64) {
-				opts.Seed = seed
-				e, err := NewEstimator(opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				stream.Run(s, e)
-				return int64(s.Len()) * int64(e.Passes()), e.SpaceWords()
-			})
+			benchCopies(b, runCopy(b, opts), nil)
 		})
 	}
 	as := NewArbitraryStream(s)
@@ -502,36 +517,68 @@ func BenchmarkEstimatorCopy(b *testing.B) {
 			opts = Options{Model: ModelArbitrary, Algorithm: algo, SampleSize: 512}
 		}
 		b.Run(string(algo), func(b *testing.B) {
-			benchCopies(b, func(seed uint64) (items, words int64) {
+			benchCopies(b, func(seed uint64) (any, int64, int64) {
 				e, err := opts.newArbitrary(seed, as.N())
 				if err != nil {
 					b.Fatal(err)
 				}
 				arbitrary.Run(as, e)
-				return as.M() * int64(e.Passes()), e.SpaceWords()
-			})
+				return e, as.M() * int64(e.Passes()), e.SpaceWords()
+			}, nil)
 		})
 	}
+	b.Run("recycled", func(b *testing.B) {
+		for _, opts := range recyclable {
+			b.Run(string(opts.Algorithm), func(b *testing.B) {
+				benchCopies(b, runCopy(b, opts), func(e any) { e.(recycler).Recycle() })
+			})
+		}
+	})
 }
 
-// benchCopies runs one copy per iteration, seeded 1, 2, …, and reports
+// benchCopies runs one copy per iteration, seeded 1, 2, …, handing each to
+// done (when not nil) once its items and words are read, and reports
 // ns/item, allocs/item and B/word over the items and space words the
-// copies report.
-func benchCopies(b *testing.B, run func(seed uint64) (items, words int64)) {
+// copies report. It then runs one more copy and reports liveB/word: the
+// heap bytes that copy holds, measured after a GC while it is reachable,
+// against the heap once it is handed to done and gone, per word it
+// reports. Two GCs empty the core estimators' pools (sync.Pools) before
+// the timed loop, so its first copy starts from zero state, and around the
+// live-bytes reading, so that only the measured copy's state differs.
+func benchCopies(b *testing.B, run func(seed uint64) (copy any, items, words int64), done func(copy any)) {
 	var items, words float64
 	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n, w := run(uint64(i) + 1)
+		e, n, w := run(uint64(i) + 1)
 		items += float64(n)
 		words += float64(w)
+		if done != nil {
+			done(e)
+		}
 	}
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/items, "ns/item")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/items, "allocs/item")
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/words, "B/word")
+
+	e, _, w := run(uint64(b.N) + 1)
+	runtime.GC()
+	runtime.GC()
+	var with, without runtime.MemStats
+	runtime.ReadMemStats(&with)
+	if done != nil {
+		done(e)
+	}
+	runtime.KeepAlive(e)
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&without)
+	b.ReportMetric(float64(int64(with.HeapAlloc)-int64(without.HeapAlloc))/float64(w), "liveB/word")
 }
 
 // BenchmarkGroundTruthCensus measures the full exact ground-truth battery

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"adjstream/internal/graph"
-	"adjstream/internal/sampling"
 	"adjstream/internal/stream"
 )
 
@@ -65,28 +64,39 @@ func (c AdaptiveConfig) withDefaults() (AdaptiveConfig, error) {
 // paper's exact unbiasedness for self-tuning space; the A6 experiment
 // measures the cost.
 type AdaptiveTwoPassTriangle struct {
-	inner *TwoPassTriangle
+	inner TwoPassTriangle // always bottom-k: inner.samp.bk
 	cfg   AdaptiveConfig
 }
 
 var _ stream.Estimator = (*AdaptiveTwoPassTriangle)(nil)
 
-// NewAdaptiveTwoPassTriangle validates cfg and returns the estimator.
+var adaptiveTriangles pool[AdaptiveTwoPassTriangle]
+
+// NewAdaptiveTwoPassTriangle validates cfg and returns the estimator, built
+// on a recycled state when there is one.
 func NewAdaptiveTwoPassTriangle(cfg AdaptiveConfig) (*AdaptiveTwoPassTriangle, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	inner, err := NewTwoPassTriangle(TriangleConfig{
-		SampleSize: cfg.InitialSample,
-		PairCap:    cfg.PairCap,
-		Seed:       cfg.Seed,
-	})
-	if err != nil {
+	a := adaptiveTriangles.get()
+	if err := a.init(cfg); err != nil {
 		return nil, err
 	}
-	return &AdaptiveTwoPassTriangle{inner: inner, cfg: cfg}, nil
+	return a, nil
 }
+
+// init makes a a fresh estimator for cfg, whose defaults are applied,
+// keeping the memory of its state.
+func (a *AdaptiveTwoPassTriangle) init(cfg AdaptiveConfig) error {
+	a.cfg = cfg
+	return a.inner.init(TriangleConfig{SampleSize: cfg.InitialSample, PairCap: cfg.PairCap, Seed: cfg.Seed})
+}
+
+// Recycle hands a's state to a later NewAdaptiveTwoPassTriangle, which
+// reuses its memory. Call it once a's run has completed and every result
+// read from a is taken; a must not be used afterwards.
+func (a *AdaptiveTwoPassTriangle) Recycle() { adaptiveTriangles.put(a) }
 
 // Passes implements stream.Algorithm.
 func (a *AdaptiveTwoPassTriangle) Passes() int { return a.inner.Passes() }
@@ -113,10 +123,7 @@ func (a *AdaptiveTwoPassTriangle) EndList(v graph.V) {
 // adapt shrinks the sample toward k = C·m_seen/T̂^{2/3}, with hysteresis so
 // the heap is not churned on every list.
 func (a *AdaptiveTwoPassTriangle) adapt() {
-	bk, ok := a.inner.sampler.(*sampling.BottomK)
-	if !ok {
-		return
-	}
+	bk := &a.inner.samp.bk
 	mSeen := a.inner.items / 2
 	if mSeen < int64(a.cfg.MinSample) {
 		return
@@ -165,12 +172,7 @@ func (a *AdaptiveTwoPassTriangle) SpaceWords() int64 {
 }
 
 // FinalSample returns the sample capacity the run converged to.
-func (a *AdaptiveTwoPassTriangle) FinalSample() int {
-	if bk, ok := a.inner.sampler.(*sampling.BottomK); ok {
-		return bk.K()
-	}
-	return 0
-}
+func (a *AdaptiveTwoPassTriangle) FinalSample() int { return a.inner.samp.bk.K() }
 
 // SampledEdges returns the live sampled-edge count.
 func (a *AdaptiveTwoPassTriangle) SampledEdges() int { return a.inner.SampledEdges() }

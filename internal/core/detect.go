@@ -29,6 +29,14 @@ type detector struct {
 	free   []int32    // record slots released by evictions
 }
 
+// init empties the detector and threads its records through the kind-0
+// lists of lists, keeping its memory.
+func (d *detector) init(lists *vertexLists) {
+	d.recs.init(lists, 0)
+	d.byEdge.Reset()
+	d.free = d.free[:0]
+}
+
 // tracked reports whether {u,v} has a record.
 func (d *detector) tracked(u, v graph.V) bool {
 	_, ok := d.byEdge.Get(sampling.PackEdge(u, v))
@@ -135,11 +143,16 @@ type triState struct {
 	pending  []int32 // min-heap of watcher ids by thresh: bases still to read
 }
 
-func newTriState() *triState {
-	st := &triState{}
-	st.det.recs = newSlab[edgeRec](&st.lists, 0)
-	st.shared = newBag[load](&st.lists, 1)
-	return st
+// init empties st, keeping its memory. st must not move afterwards: its
+// slab and bag point at st.lists.
+func (st *triState) init() {
+	st.lists.reset()
+	st.det.init(&st.lists)
+	st.shared.init(&st.lists, 1)
+	st.byEdge.Reset()
+	st.freeLoad = st.freeLoad[:0]
+	st.watch = st.watch[:0]
+	st.pending = st.pending[:0]
 }
 
 // touch marks nbr's appearance in the current list on the tracked edges

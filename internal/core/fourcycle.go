@@ -60,12 +60,14 @@ type sampledWedge struct {
 // Unlike the triangle algorithm, pass two need not replay pass one's order.
 type TwoPassFourCycle struct {
 	cfg     FourCycleConfig
-	sampler sampling.EdgeSampler
+	sampler sampling.EdgeSampler // one of samp's two
+	samp    samplers
 
 	lists       vertexLists
-	wedges      bag[sampledWedge] // Q; slot j is slot j of kept under a cap
-	kept        *sampling.Reservoir[struct{}]
-	totalWedges int64 // wedges formed (before any cap)
+	wedges      bag[sampledWedge]            // Q; slot j is slot j of kept under a cap
+	kept        sampling.Reservoir[struct{}] // under a WedgeCap
+	incident    []uint64                     // buildWedges' scratch
+	totalWedges int64                        // wedges formed (before any cap)
 
 	pass  int
 	items int64
@@ -76,25 +78,43 @@ type TwoPassFourCycle struct {
 
 var _ stream.Estimator = (*TwoPassFourCycle)(nil)
 
-// NewTwoPassFourCycle validates cfg and returns the estimator.
+var twoPassFourCycles pool[TwoPassFourCycle]
+
+// NewTwoPassFourCycle validates cfg and returns the estimator, built on a
+// recycled state when there is one.
 func NewTwoPassFourCycle(cfg FourCycleConfig) (*TwoPassFourCycle, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	f := &TwoPassFourCycle{cfg: cfg}
-	f.wedges = newBag[sampledWedge](&f.lists, 0)
-	if cfg.SampleSize > 0 {
-		f.sampler = sampling.NewBottomK(cfg.SampleSize, cfg.Seed, nil)
-	} else {
-		fp, err := sampling.NewFixedProb(cfg.SampleProb, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		f.sampler = fp
+	f := twoPassFourCycles.get()
+	if err := f.init(cfg); err != nil {
+		return nil, err
 	}
-	f.tele = newEstTele("twopass_fourcycle", &f.meter)
 	return f, nil
 }
+
+// init makes f a fresh estimator for the validated cfg, keeping the memory
+// of its state. The wedge reservoir is readied by buildWedges.
+func (f *TwoPassFourCycle) init(cfg FourCycleConfig) error {
+	sampler, err := f.samp.init(cfg.SampleSize, cfg.SampleProb, cfg.Seed, nil)
+	if err != nil {
+		return err
+	}
+	f.cfg, f.sampler = cfg, sampler
+	f.lists.reset()
+	f.wedges.init(&f.lists, 0)
+	f.incident = f.incident[:0]
+	f.totalWedges = 0
+	f.pass, f.items, f.m = 0, 0, 0
+	f.meter = space.Meter{}
+	f.tele = newEstTele("twopass_fourcycle", &f.meter)
+	return nil
+}
+
+// Recycle hands f's state to a later NewTwoPassFourCycle, which reuses its
+// memory. Call it once f's run has completed and every result read from f
+// is taken; f must not be used afterwards.
+func (f *TwoPassFourCycle) Recycle() { twoPassFourCycles.put(f) }
 
 // Passes implements stream.Algorithm.
 func (f *TwoPassFourCycle) Passes() int { return 2 }
@@ -156,14 +176,16 @@ func (f *TwoPassFourCycle) EndPass(p int) {
 // centers in ascending order and each center's neighbour pairs in
 // ascending order — the order the wedge reservoir sees.
 func (f *TwoPassFourCycle) buildWedges() {
-	edges := f.sampler.Edges()
-	incident := make([]uint64, 0, 2*len(edges)) // center<<32 | neighbour
-	for _, e := range edges {
-		incident = append(incident, uint64(e.U)<<32|uint64(e.V), uint64(e.V)<<32|uint64(e.U))
+	// center<<32 | neighbour, for both orientations of each sampled edge:
+	// its PackEdge key and the key with its halves swapped.
+	incident := f.sampler.AppendKeys(f.incident[:0])
+	for _, key := range incident {
+		incident = append(incident, key<<32|key>>32)
 	}
+	f.incident = incident
 	slices.Sort(incident)
 	if f.cfg.WedgeCap > 0 {
-		f.kept = sampling.NewReservoir[struct{}](f.cfg.WedgeCap, f.cfg.Seed^0x77ed_21f3)
+		f.kept.Init(f.cfg.WedgeCap, f.cfg.Seed^0x77ed_21f3)
 	}
 	for lo, hi := 0, 0; lo < len(incident); lo = hi {
 		c := incident[lo] >> 32
@@ -182,7 +204,7 @@ func (f *TwoPassFourCycle) buildWedges() {
 func (f *TwoPassFourCycle) keepWedge(a, center, b graph.V) {
 	f.totalWedges++
 	slot, replaced := len(f.wedges.ent), false
-	if f.kept != nil {
+	if f.cfg.WedgeCap > 0 {
 		if slot, replaced = f.kept.OfferSlot(struct{}{}); slot < 0 {
 			return
 		}

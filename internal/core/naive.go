@@ -16,8 +16,10 @@ import (
 // variance blowup that motivates the lightest-edge rule (ablation A1).
 // With m′ = Θ(m^{3/2}/T) it serves as the Table 1 row-3 representative.
 type NaiveTwoPass struct {
-	sampler sampling.EdgeSampler
-	st      *triState // records only
+	sampler sampling.EdgeSampler // one of samp's two
+	samp    samplers
+	st      triState         // records only
+	onEvict func(graph.Edge) // n.evicted, bound once
 
 	pass  int
 	pos   int
@@ -29,32 +31,54 @@ type NaiveTwoPass struct {
 
 var _ stream.Estimator = (*NaiveTwoPass)(nil)
 
-// NewNaiveTwoPass validates cfg and returns the algorithm. PairCap is
-// ignored (only a counter is kept per discovery).
+var naiveTwoPasses pool[NaiveTwoPass]
+
+// NewNaiveTwoPass validates cfg and returns the algorithm, built on a
+// recycled state when there is one. PairCap is ignored (only a counter is
+// kept per discovery).
 func NewNaiveTwoPass(cfg TriangleConfig) (*NaiveTwoPass, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	n := &NaiveTwoPass{st: newTriState()}
-	if cfg.SampleSize > 0 {
-		n.sampler = sampling.NewBottomK(cfg.SampleSize, cfg.Seed, func(e graph.Edge) {
-			if r, ok := n.st.det.evict(e); ok {
-				// Retract discoveries credited to an edge that does not
-				// survive into the final sample; otherwise the estimate is
-				// biased upward by the early over-inclusive sample.
-				n.found -= r.hits
-				n.meter.Release(space.WordsPerEdge + 2)
-			}
-		})
-	} else {
-		fp, err := sampling.NewFixedProb(cfg.SampleProb, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		n.sampler = fp
+	n := naiveTwoPasses.get()
+	if err := n.init(cfg); err != nil {
+		return nil, err
 	}
 	return n, nil
 }
+
+// init makes n a fresh estimator for the validated cfg, keeping the memory
+// of its state.
+func (n *NaiveTwoPass) init(cfg TriangleConfig) error {
+	if n.onEvict == nil {
+		n.onEvict = n.evicted
+	}
+	sampler, err := n.samp.init(cfg.SampleSize, cfg.SampleProb, cfg.Seed, n.onEvict)
+	if err != nil {
+		return err
+	}
+	n.sampler = sampler
+	n.st.init()
+	n.pass, n.pos, n.items, n.m, n.found = 0, 0, 0, 0, 0
+	n.meter = space.Meter{}
+	return nil
+}
+
+// evicted drops the record of an edge bottom-k evicted and retracts the
+// discoveries credited to it: an edge that does not survive into the final
+// sample would otherwise bias the estimate upward by the early
+// over-inclusive sample.
+func (n *NaiveTwoPass) evicted(e graph.Edge) {
+	if r, ok := n.st.det.evict(e); ok {
+		n.found -= r.hits
+		n.meter.Release(space.WordsPerEdge + 2)
+	}
+}
+
+// Recycle hands n's state to a later NewNaiveTwoPass, which reuses its
+// memory. Call it once n's run has completed and every result read from n
+// is taken; n must not be used afterwards.
+func (n *NaiveTwoPass) Recycle() { naiveTwoPasses.put(n) }
 
 // Passes implements stream.Algorithm.
 func (n *NaiveTwoPass) Passes() int { return 2 }

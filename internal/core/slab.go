@@ -25,7 +25,8 @@ import (
 //     index in both of its lists. Loads and wedges live here.
 //
 // Slabs and runs grow as entries are added — they are never sized from a
-// budget.
+// budget. Their init methods empty them in place and keep that memory, so
+// a copy built on spent state (see pool) does not grow again.
 
 // ref names one entry of a slab: its slot and the slot's generation when
 // the entry was added.
@@ -48,6 +49,16 @@ type vertexLists struct {
 	free  []int32 // released slots of runs
 	arena []int32
 	spare [32]int32 // per log2 block size: offset+1 of a released block, 0 if none
+}
+
+// reset empties the lists, keeping the memory of the index, the runs and
+// the arena.
+func (l *vertexLists) reset() {
+	l.index.Reset()
+	l.runs = l.runs[:0]
+	l.free = l.free[:0]
+	l.arena = l.arena[:0]
+	l.spare = [32]int32{}
 }
 
 // find returns v's lists, or nil when v has no live entries.
@@ -138,7 +149,9 @@ func (l *vertexLists) tidy(v graph.V, slot int32) {
 }
 
 // alloc returns the offset of a block of size ids (a power of two),
-// reusing a released block of that size when there is one.
+// reusing a released block of that size when there is one. A new block
+// extends the arena, within its capacity when it fits: every id of a block
+// is written before it is read, so it need not be zeroed.
 func (l *vertexLists) alloc(size int32) int32 {
 	k := bits.TrailingZeros32(uint32(size))
 	if h := l.spare[k]; h != 0 {
@@ -146,7 +159,11 @@ func (l *vertexLists) alloc(size int32) int32 {
 		return h - 1
 	}
 	off := int32(len(l.arena))
-	l.arena = append(l.arena, make([]int32, size)...)
+	if end := int(off + size); end <= cap(l.arena) {
+		l.arena = l.arena[:end]
+	} else {
+		l.arena = append(l.arena, make([]int32, size)...)
+	}
 	return off
 }
 
@@ -194,8 +211,14 @@ type slab[T any] struct {
 	closed []closing
 }
 
-func newSlab[T any](lists *vertexLists, kind int) slab[T] {
-	return slab[T]{lists: lists, kind: kind, epoch: 1}
+// init empties the slab and threads it through the kind-th lists of lists,
+// keeping the memory of its entries. Entries are zeroed again as put
+// reaches them, and the epoch restarts at 1.
+func (s *slab[T]) init(lists *vertexLists, kind int) {
+	s.ent = s.ent[:0]
+	s.lists, s.kind, s.live = lists, kind, 0
+	s.epoch, s.seq = 1, 0
+	s.closed = s.closed[:0]
 }
 
 // ref returns the current reference to slot id.
@@ -306,8 +329,13 @@ type bagNode[T any] struct {
 	epoch uint32
 }
 
-func newBag[T any](lists *vertexLists, kind int) bag[T] {
-	return bag[T]{lists: lists, kind: kind, epoch: 1}
+// init empties the bag and threads it through the kind-th lists of lists,
+// keeping the memory of its entries. Entries are zeroed again as put
+// reaches them, and the epoch restarts at 1.
+func (b *bag[T]) init(lists *vertexLists, kind int) {
+	b.ent = b.ent[:0]
+	b.lists, b.kind, b.live = lists, kind, 0
+	b.epoch = 1
 }
 
 // put stores an entry with endpoints x ≠ y in slot id, which must be free,

@@ -27,7 +27,8 @@ func listOf[T any](s *slab[T], v graph.V) []int32 {
 
 func TestSlabListsKeepInsertionOrderAcrossReuse(t *testing.T) {
 	var lists vertexLists
-	s := newSlab[int](&lists, 0)
+	var s slab[int]
+	s.init(&lists, 0)
 	// Entries 0..9 all on vertex 7, each with its own other endpoint.
 	for id := int32(0); id < 10; id++ {
 		s.put(id, 7, graph.V(100+id), int(id))
@@ -59,7 +60,8 @@ func TestSlabListsKeepInsertionOrderAcrossReuse(t *testing.T) {
 // of the first appearance, unless it was unlinked in between.
 func TestSlabFinishListOrderAndRemoval(t *testing.T) {
 	var lists vertexLists
-	s := newSlab[int](&lists, 0)
+	var s slab[int]
+	s.init(&lists, 0)
 	s.put(0, 1, 2, 0)
 	s.put(1, 3, 4, 0)
 	s.put(2, 5, 6, 0)
@@ -158,7 +160,8 @@ func TestSlabsStayWithinBoundsUnderEviction(t *testing.T) {
 func TestBagSwapRemovalMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 11))
 	var lists vertexLists
-	b := newBag[int](&lists, 1)
+	var b bag[int]
+	b.init(&lists, 1)
 	live := make(map[int32][2]graph.V)
 	var ids, free []int32 // ids: the keys of live
 	for op := 0; op < 4000; op++ {

@@ -19,11 +19,13 @@ import (
 // It is retained as the Table 1 row-4 representative and for the A2
 // ablation (H proxy versus exact T_e).
 type ThreePassTriangle struct {
-	sampler sampling.EdgeSampler
-	st      *triState
-	pairs   []trianglePair // from pass three on, live pairs only; pair i's watchers are st.watch[3i..3i+2]
-	found   int            // pairs collected, including pairs of evicted edges
-	loaded  bool           // load watchers registered (end of pass two)
+	sampler sampling.EdgeSampler // one of samp's two
+	samp    samplers
+	st      triState
+	pairs   []trianglePair   // from pass three on, live pairs only; pair i's watchers are st.watch[3i..3i+2]
+	found   int              // pairs collected, including pairs of evicted edges
+	loaded  bool             // load watchers registered (end of pass two)
+	onEvict func(graph.Edge) // t.evicted, bound once
 
 	pass  int
 	pos   int
@@ -34,28 +36,52 @@ type ThreePassTriangle struct {
 
 var _ stream.Estimator = (*ThreePassTriangle)(nil)
 
-// NewThreePassTriangle validates cfg and returns the estimator. PairCap is
-// ignored: this variant deliberately stores all collected triangles.
+var threePassTriangles pool[ThreePassTriangle]
+
+// NewThreePassTriangle validates cfg and returns the estimator, built on a
+// recycled state when there is one. PairCap is ignored: this variant
+// deliberately stores all collected triangles.
 func NewThreePassTriangle(cfg TriangleConfig) (*ThreePassTriangle, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	t := &ThreePassTriangle{st: newTriState()}
-	if cfg.SampleSize > 0 {
-		t.sampler = sampling.NewBottomK(cfg.SampleSize, cfg.Seed, func(e graph.Edge) {
-			if _, ok := t.st.det.evict(e); ok {
-				t.meter.Release(space.WordsPerEdge + 2)
-			}
-		})
-	} else {
-		fp, err := sampling.NewFixedProb(cfg.SampleProb, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		t.sampler = fp
+	t := threePassTriangles.get()
+	if err := t.init(cfg); err != nil {
+		return nil, err
 	}
 	return t, nil
 }
+
+// init makes t a fresh estimator for the validated cfg, keeping the memory
+// of its state.
+func (t *ThreePassTriangle) init(cfg TriangleConfig) error {
+	if t.onEvict == nil {
+		t.onEvict = t.evicted
+	}
+	sampler, err := t.samp.init(cfg.SampleSize, cfg.SampleProb, cfg.Seed, t.onEvict)
+	if err != nil {
+		return err
+	}
+	t.sampler = sampler
+	t.st.init()
+	t.pairs = t.pairs[:0]
+	t.found, t.loaded = 0, false
+	t.pass, t.pos, t.items, t.m = 0, 0, 0, 0
+	t.meter = space.Meter{}
+	return nil
+}
+
+// evicted drops the record of an edge bottom-k evicted.
+func (t *ThreePassTriangle) evicted(e graph.Edge) {
+	if _, ok := t.st.det.evict(e); ok {
+		t.meter.Release(space.WordsPerEdge + 2)
+	}
+}
+
+// Recycle hands t's state to a later NewThreePassTriangle, which reuses its
+// memory. Call it once t's run has completed and every result read from t
+// is taken; t must not be used afterwards.
+func (t *ThreePassTriangle) Recycle() { threePassTriangles.put(t) }
 
 // Passes implements stream.Algorithm.
 func (t *ThreePassTriangle) Passes() int { return 3 }

@@ -62,9 +62,11 @@ func (c TriangleConfig) pairCap() int {
 // counted iff it was sampled at its ρ(τ) = argmin H edge, which suppresses
 // the heavy-edge variance while keeping the estimator unbiased.
 type TwoPassTriangle struct {
-	sampler sampling.EdgeSampler
-	st      *triState
-	pairs   *sampling.Reservoir[trianglePair] // pair j's watchers: st.watch[3j..3j+2]
+	sampler sampling.EdgeSampler // one of samp's two
+	samp    samplers
+	st      triState
+	pairs   sampling.Reservoir[trianglePair] // pair j's watchers: st.watch[3j..3j+2]
+	onEvict func(graph.Edge)                 // t.evicted, bound once
 
 	pass  int
 	pos   int   // current adjacency-list position (1-based)
@@ -76,29 +78,51 @@ type TwoPassTriangle struct {
 
 var _ stream.Estimator = (*TwoPassTriangle)(nil)
 
-// NewTwoPassTriangle validates cfg and returns the estimator.
+var twoPassTriangles pool[TwoPassTriangle]
+
+// NewTwoPassTriangle validates cfg and returns the estimator, built on a
+// recycled state when there is one.
 func NewTwoPassTriangle(cfg TriangleConfig) (*TwoPassTriangle, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	t := &TwoPassTriangle{st: newTriState()}
-	if cfg.SampleSize > 0 {
-		t.sampler = sampling.NewBottomK(cfg.SampleSize, cfg.Seed, func(e graph.Edge) {
-			if _, ok := t.st.det.evict(e); ok {
-				t.meter.Release(space.WordsPerEdge + 2)
-			}
-		})
-	} else {
-		fp, err := sampling.NewFixedProb(cfg.SampleProb, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		t.sampler = fp
+	t := twoPassTriangles.get()
+	if err := t.init(cfg); err != nil {
+		return nil, err
 	}
-	t.pairs = sampling.NewReservoir[trianglePair](cfg.pairCap(), cfg.Seed^0x5bf0_3635)
-	t.tele = newEstTele("twopass_triangle", &t.meter)
 	return t, nil
 }
+
+// init makes t a fresh estimator for the validated cfg, keeping the memory
+// of its state.
+func (t *TwoPassTriangle) init(cfg TriangleConfig) error {
+	if t.onEvict == nil {
+		t.onEvict = t.evicted
+	}
+	sampler, err := t.samp.init(cfg.SampleSize, cfg.SampleProb, cfg.Seed, t.onEvict)
+	if err != nil {
+		return err
+	}
+	t.sampler = sampler
+	t.st.init()
+	t.pairs.Init(cfg.pairCap(), cfg.Seed^0x5bf0_3635)
+	t.pass, t.pos, t.items, t.m = 0, 0, 0, 0
+	t.meter = space.Meter{}
+	t.tele = newEstTele("twopass_triangle", &t.meter)
+	return nil
+}
+
+// evicted drops the record of an edge bottom-k evicted.
+func (t *TwoPassTriangle) evicted(e graph.Edge) {
+	if _, ok := t.st.det.evict(e); ok {
+		t.meter.Release(space.WordsPerEdge + 2)
+	}
+}
+
+// Recycle hands t's state to a later NewTwoPassTriangle, which reuses its
+// memory. Call it once t's run has completed and every result read from t
+// is taken; t must not be used afterwards.
+func (t *TwoPassTriangle) Recycle() { twoPassTriangles.put(t) }
 
 // Passes implements stream.Algorithm.
 func (t *TwoPassTriangle) Passes() int { return 2 }

@@ -9,7 +9,9 @@
 // (bottom-k evictions, reservoir swaps) never degrades and never
 // reallocates once it has grown to its peak occupancy. The array grows on
 // demand, doubling at 3/4 load; nothing is sized up front, so a table's
-// memory follows what it holds, not a requested budget.
+// memory follows what it holds, not a requested budget. Reset empties a
+// table and keeps its array, so a table reused for another run of the same
+// shape does not grow again.
 package flat
 
 import "math/bits"
@@ -96,6 +98,16 @@ func (t *Table) Delete(key uint64) {
 	}
 	t.slots[i] = slot{}
 	t.n--
+}
+
+// Reset removes every key and keeps the slot array, so refilling the table
+// to its previous size neither grows nor rehashes it. Slot order, and so
+// AppendKeys order, depends on the array's size.
+func (t *Table) Reset() {
+	if t.n > 0 {
+		clear(t.slots)
+		t.n = 0
+	}
 }
 
 // AppendKeys appends every key to dst, in slot order, and returns it.

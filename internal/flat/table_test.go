@@ -67,3 +67,30 @@ func TestTableChurnDoesNotAllocate(t *testing.T) {
 		t.Fatalf("Len = %d, want 1000", tab.Len())
 	}
 }
+
+// Reset empties the table and keeps its array: no key survives, and
+// refilling it to the size it had allocates nothing.
+func TestTableResetKeepsArray(t *testing.T) {
+	var tab Table
+	for k := uint64(0); k < 1000; k++ {
+		tab.Put(k<<32, int32(k))
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		tab.Reset()
+		if tab.Len() != 0 {
+			t.Fatalf("Len after Reset = %d", tab.Len())
+		}
+		if _, ok := tab.Get(5 << 32); ok {
+			t.Fatal("key survived Reset")
+		}
+		for k := uint64(0); k < 1000; k++ {
+			tab.Put(k<<32, int32(k))
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Reset and refill allocated %v times per run, want 0", allocs)
+	}
+	if got, ok := tab.Get(999 << 32); !ok || got != 999 {
+		t.Fatalf("Get after refill = %d,%v, want 999", got, ok)
+	}
+}

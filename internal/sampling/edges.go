@@ -21,9 +21,9 @@ type EdgeSampler interface {
 	Contains(u, v graph.V) bool
 	// Len returns the current sample size.
 	Len() int
-	// Edges returns the edges currently in the sample, in canonical
-	// orientation and no particular order.
-	Edges() []graph.Edge
+	// AppendKeys appends the PackEdge keys of the edges currently in the
+	// sample to dst, in no particular order, and returns it.
+	AppendKeys(dst []uint64) []uint64
 	// InclusionScale returns the factor 1/Pr[e ∈ S] used by estimators,
 	// given the final number of edges m (needed by bottom-k).
 	InclusionScale(m int64) float64
@@ -47,10 +47,23 @@ type FixedProb struct {
 // sampler that can never accept an edge turns into a silent zero estimate
 // downstream, so the mistake is rejected here instead.
 func NewFixedProb(p float64, seed uint64) (*FixedProb, error) {
-	if !(p > 0 && p <= 1) {
-		return nil, fmt.Errorf("sampling: fixed-prob rate %v outside (0,1]", p)
+	f := &FixedProb{}
+	if err := f.Init(p, seed); err != nil {
+		return nil, err
 	}
-	return &FixedProb{seed: seed, threshold: ProbThreshold(p), p: p}, nil
+	return f, nil
+}
+
+// Init makes f an empty sampler with inclusion probability p and the given
+// seed, as NewFixedProb does, keeping the memory of its set. It rejects p
+// as NewFixedProb does, leaving f unchanged.
+func (f *FixedProb) Init(p float64, seed uint64) error {
+	if !(p > 0 && p <= 1) {
+		return fmt.Errorf("sampling: fixed-prob rate %v outside (0,1]", p)
+	}
+	f.seed, f.threshold, f.p = seed, ProbThreshold(p), p
+	f.set.Reset()
+	return nil
 }
 
 // Offer implements EdgeSampler.
@@ -82,15 +95,19 @@ func (f *FixedProb) InclusionScale(m int64) float64 {
 // PairInclusionProb implements EdgeSampler: independent inclusion, p².
 func (f *FixedProb) PairInclusionProb(m int64) float64 { return f.p * f.p }
 
-// Edges implements EdgeSampler.
+// Edges returns the edges currently in the sample, in canonical
+// orientation and no particular order.
 func (f *FixedProb) Edges() []graph.Edge {
-	keys := f.set.AppendKeys(make([]uint64, 0, f.set.Len()))
+	keys := f.AppendKeys(make([]uint64, 0, f.set.Len()))
 	out := make([]graph.Edge, len(keys))
 	for i, key := range keys {
 		out[i] = unpackEdge(key)
 	}
 	return out
 }
+
+// AppendKeys implements EdgeSampler.
+func (f *FixedProb) AppendKeys(dst []uint64) []uint64 { return f.set.AppendKeys(dst) }
 
 // BottomK keeps the k edges with the smallest hash values seen so far. The
 // final sample is a uniformly random size-k subset of the edges (or all of
@@ -118,10 +135,20 @@ type hashEntry struct {
 // is invoked whenever a previously accepted edge leaves the sample, letting
 // callers discard dependent state (e.g. collected triangles).
 func NewBottomK(k int, seed uint64, onEvict func(graph.Edge)) *BottomK {
+	b := &BottomK{}
+	b.Init(k, seed, onEvict)
+	return b
+}
+
+// Init makes b an empty bottom-k sampler, as NewBottomK does, keeping the
+// memory of its heap and set.
+func (b *BottomK) Init(k int, seed uint64, onEvict func(graph.Edge)) {
 	if k <= 0 {
 		panic("sampling: bottom-k capacity must be positive")
 	}
-	return &BottomK{seed: seed, k: k, onEvict: onEvict}
+	b.seed, b.k, b.onEvict = seed, k, onEvict
+	b.heap = b.heap[:0]
+	b.members.Reset()
 }
 
 // Offer implements EdgeSampler. Offering an edge that is already in the
@@ -258,11 +285,20 @@ func (b *BottomK) PairInclusionProb(m int64) float64 {
 	return float64(sz) * float64(sz-1) / (float64(m) * float64(m-1))
 }
 
-// Edges implements EdgeSampler.
+// Edges returns the edges currently in the sample, in canonical
+// orientation and no particular order.
 func (b *BottomK) Edges() []graph.Edge {
 	out := make([]graph.Edge, len(b.heap))
 	for i, e := range b.heap {
 		out[i] = unpackEdge(e.key)
 	}
 	return out
+}
+
+// AppendKeys implements EdgeSampler.
+func (b *BottomK) AppendKeys(dst []uint64) []uint64 {
+	for _, e := range b.heap {
+		dst = append(dst, e.key)
+	}
+	return dst
 }

@@ -9,18 +9,30 @@ type Reservoir[T any] struct {
 	k     int
 	n     int64 // items offered
 	items []T
-	rng   *rand.Rand
+	src   rand.PCG
+	rng   *rand.Rand // draws from src
 }
 
 // NewReservoir returns a reservoir of capacity k seeded deterministically.
 // k must be positive.
 func NewReservoir[T any](k int, seed uint64) *Reservoir[T] {
+	r := &Reservoir[T]{}
+	r.Init(k, seed)
+	return r
+}
+
+// Init makes r an empty reservoir of capacity k with its generator
+// reseeded, as NewReservoir does, keeping the memory of its items.
+func (r *Reservoir[T]) Init(k int, seed uint64) {
 	if k <= 0 {
 		panic("sampling: reservoir capacity must be positive")
 	}
-	return &Reservoir[T]{
-		k:   k,
-		rng: rand.New(rand.NewPCG(seed, seed^0xe7037ed1a0b428db)),
+	r.k, r.n = k, 0
+	clear(r.items)
+	r.items = r.items[:0]
+	r.src.Seed(seed, seed^0xe7037ed1a0b428db)
+	if r.rng == nil {
+		r.rng = rand.New(&r.src)
 	}
 }
 

@@ -56,6 +56,7 @@ func EstimateShardContext(ctx context.Context, s *Stream, opts Options, lo, hi i
 	for i, e := range copies {
 		snaps[i] = e.(stream.Snapshotter).Snapshot()
 	}
+	recycle(copies)
 	return snaps, nil
 }
 
