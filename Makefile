@@ -68,9 +68,10 @@ bench-baseline: bench-json
 # Key benchmarks that gate performance regressions. Sub-benchmarks of these
 # are gated too; everything else is context-only in the benchdiff table.
 # BenchmarkEstimatorCopy runs one copy of each adjacency-list estimator on
-# the repository benchmark's cl2k graph. Keep this list and benchdiff's
-# default -keys in step.
-BENCH_GATE_KEYS = BenchmarkBroadcastK32|BenchmarkExactKernels|BenchmarkEstimateColdVsCached|BenchmarkArbFourCycle|BenchmarkEstimatorCopy
+# the repository benchmark's cl2k graph; BenchmarkDatasetMerge times one
+# ingest-version merge at its two merge shapes. Keep this list, benchdiff's
+# default -keys and the CI bench-gate job in step.
+BENCH_GATE_KEYS = BenchmarkBroadcastK32|BenchmarkExactKernels|BenchmarkEstimateColdVsCached|BenchmarkArbFourCycle|BenchmarkEstimatorCopy|BenchmarkDatasetMerge
 BENCH_GATE_PKGS = ./internal/stream/ ./internal/graph/ ./internal/serve/ ./internal/arbitrary/ .
 
 # Perf regression gate: run only the key benchmarks briefly, convert to
@@ -139,13 +140,19 @@ merge-smoke:
 # Fuzz smoke: `go test` only replays the seed corpora, so give every
 # decoder that reads bytes from disk or the network a short real fuzzing
 # run — text and edge-list streams, "adjC" columnar files and "adjM"
-# snapshot sets. A crashing input is saved under
-# internal/stream/testdata/fuzz/ for the regression suite.
-FUZZ_TARGETS = FuzzReadText FuzzReadEdgeList FuzzColumnarDecode FuzzReadSnapshotSet
+# snapshot sets — and the graph layer's differential targets: the CSR
+# kernels against the map-based oracles, and Delta staging and Apply
+# against a rebuild. A crashing input is saved under the package's
+# testdata/fuzz/ for the regression suite.
+FUZZ_TARGETS_STREAM = FuzzReadText FuzzReadEdgeList FuzzColumnarDecode FuzzReadSnapshotSet
+FUZZ_TARGETS_GRAPH = FuzzCSRKernels FuzzDeltaApplyMatchesRebuild
 
 fuzz-smoke:
-	for f in $(FUZZ_TARGETS); do \
+	for f in $(FUZZ_TARGETS_STREAM); do \
 		$(GO) test -run=NONE -fuzz="^$$f\$$" -fuzztime=10s ./internal/stream/ || exit 1; \
+	done
+	for f in $(FUZZ_TARGETS_GRAPH); do \
+		$(GO) test -run=NONE -fuzz="^$$f\$$" -fuzztime=10s ./internal/graph/ || exit 1; \
 	done
 
 cover:

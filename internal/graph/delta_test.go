@@ -3,6 +3,7 @@ package graph
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -250,4 +251,128 @@ func TestDeltaRandomizedAgainstRebuild(t *testing.T) {
 		}
 		g = got
 	}
+}
+
+// assertSameRows compares vertices, rows, M and MaxDegree, treating nil and
+// empty lists alike.
+func assertSameRows(t *testing.T, got, want *Graph) {
+	t.Helper()
+	if got.M() != want.M() || got.MaxDegree() != want.MaxDegree() {
+		t.Fatalf("shape: got m=%d maxD=%d, want m=%d maxD=%d", got.M(), got.MaxDegree(), want.M(), want.MaxDegree())
+	}
+	if !slices.Equal(got.Vertices(), want.Vertices()) {
+		t.Fatalf("vertices: got %v, want %v", got.Vertices(), want.Vertices())
+	}
+	for _, v := range want.Vertices() {
+		if !slices.Equal(got.Neighbors(v), want.Neighbors(v)) {
+			t.Fatalf("neighbors(%d): got %v, want %v", v, got.Neighbors(v), want.Neighbors(v))
+		}
+	}
+}
+
+// fuzzIDs is the vertex-id pool FuzzDeltaApplyMatchesRebuild draws from: a
+// contiguous prefix (so some graphs hold exactly 0..n-1), scattered ids,
+// ids at MaxV and, past fuzzValidIDs, two ids every op must reject.
+var fuzzIDs = []V{0, 1, 2, 3, 4, 5, 9, 1 << 20, 1 << 31, MaxV - 1, MaxV, 6, -1, MaxV + 1}
+
+const fuzzValidIDs = 12
+
+// FuzzDeltaApplyMatchesRebuild is the differential oracle for Delta:
+// fuzzer bytes decode into a small base graph (with isolated vertices and
+// optionally a nil base) and 2–3 chained rounds of adds and removes. Every
+// Add/Remove error is checked against a map model of the edge set, and
+// every Apply against a Builder rebuild of the model: vertices, rows, M,
+// MaxDegree, Triangles and FourCycles. The base of each round must come
+// out of Apply unchanged.
+func FuzzDeltaApplyMatchesRebuild(f *testing.F) {
+	f.Add([]byte{3, 0x21, 0, 1, 1, 2, 2, 0, 0, 4, 0, 0, 3, 1, 1, 2, 0, 7, 8, 3, 1, 9, 10})
+	f.Add([]byte{0x80, 0, 1, 5, 0, 10, 9, 0, 9, 8, 1, 10, 9, 0, 1, 2, 2, 0, 0, 1, 1, 0, 1})
+	f.Add([]byte{6, 0xb7, 0, 1, 1, 2, 2, 3, 3, 0, 4, 5, 9, 10, 2, 6, 1, 0, 1, 1, 3, 4, 0, 6, 11, 0, 12, 3, 1, 13, 2, 3, 1, 9, 10, 0, 9, 10})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		head, iso := next(), next()
+		var g *Graph
+		present := make(map[Edge]bool)
+		verts := make(map[V]bool)
+		if head&0x80 == 0 {
+			b := NewBuilder()
+			for _, i := range []int{iso & 15, iso >> 4} {
+				if i < fuzzValidIDs {
+					b.AddVertex(fuzzIDs[i])
+					verts[fuzzIDs[i]] = true
+				}
+			}
+			for i := head % 24; i > 0; i-- {
+				u, v := fuzzIDs[next()%fuzzValidIDs], fuzzIDs[next()%fuzzValidIDs]
+				if b.AddIfAbsent(u, v) {
+					present[Edge{u, v}.Norm()] = true
+					verts[u], verts[v] = true, true
+				}
+			}
+			g = b.Graph()
+		}
+		rounds := 2 + next()%2
+		for r := 0; r < rounds; r++ {
+			d := NewDelta(g)
+			base := d.Base()
+			baseEdges := base.Edges()
+			for k := next() % 24; k > 0; k-- {
+				op, u, v := next(), fuzzIDs[next()%len(fuzzIDs)], fuzzIDs[next()%len(fuzzIDs)]
+				e := Edge{u, v}.Norm()
+				valid := checkV(u) == nil && checkV(v) == nil
+				if op&1 == 0 {
+					want := valid && u != v && !present[e]
+					if err := d.Add(u, v); (err == nil) != want {
+						t.Fatalf("round %d: Add(%d,%d) err = %v, model wants ok=%v", r, u, v, err, want)
+					}
+					if want {
+						present[e] = true
+					}
+				} else {
+					want := valid && present[e]
+					if err := d.Remove(u, v); (err == nil) != want {
+						t.Fatalf("round %d: Remove(%d,%d) err = %v, model wants ok=%v", r, u, v, err, want)
+					}
+					if want {
+						delete(present, e)
+					}
+				}
+			}
+			for _, v := range base.Vertices() {
+				verts[v] = true
+			}
+			for e := range present {
+				verts[e.U], verts[e.V] = true, true
+			}
+			want := NewBuilder()
+			for v := range verts {
+				want.AddVertex(v)
+			}
+			for e := range present {
+				if err := want.Add(e.U, e.V); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got := d.Apply()
+			assertSameRows(t, got, want.Graph())
+			if gt, wt := got.Triangles(), want.Graph().Triangles(); gt != wt {
+				t.Fatalf("round %d: Triangles = %d, rebuild %d", r, gt, wt)
+			}
+			if gf, wf := got.FourCycles(), want.Graph().FourCycles(); gf != wf {
+				t.Fatalf("round %d: FourCycles = %d, rebuild %d", r, gf, wf)
+			}
+			if !reflect.DeepEqual(base.Edges(), baseEdges) {
+				t.Fatalf("round %d: Apply changed its base graph", r)
+			}
+			g = got
+		}
+	})
 }
