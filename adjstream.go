@@ -503,24 +503,36 @@ func buildCopies[E any](o Options, lo, hi int, newCopy func(seed uint64) (E, err
 	return copies, nil
 }
 
+// finisher is a copy with work left after its passes — the exact
+// counter's cycle count — which must run under the run's context too.
+type finisher interface{ Finish(context.Context) error }
+
 // runCopies runs every copy over s under ctx: on the broadcast driver when
 // Parallel is set and there is more than one copy, otherwise one copy after
-// another. It returns the driver that ran them ("" for sequential runs) and
-// the broadcast counters.
-func (o Options) runCopies(ctx context.Context, s *Stream, copies []Estimator) (Driver, DriverStats, error) {
+// another. Then it finishes the copies that are finishers, under the same
+// ctx. It returns the driver that ran them ("" for sequential runs) and the
+// broadcast counters.
+func (o Options) runCopies(ctx context.Context, s *Stream, copies []Estimator) (driver Driver, st DriverStats, err error) {
 	if o.Parallel && len(copies) > 1 {
-		st, err := stream.RunBroadcastContext(ctx, s, copies)
-		if err != nil {
+		if st, err = stream.RunBroadcastContext(ctx, s, copies); err != nil {
 			return "", DriverStats{}, canceled(err)
 		}
-		return DriverBroadcast, st, nil
+		driver = DriverBroadcast
+	} else {
+		for _, e := range copies {
+			if err := stream.RunContext(ctx, s, e); err != nil {
+				return "", DriverStats{}, canceled(err)
+			}
+		}
 	}
 	for _, e := range copies {
-		if err := stream.RunContext(ctx, s, e); err != nil {
-			return "", DriverStats{}, canceled(err)
+		if f, ok := e.(finisher); ok {
+			if err := f.Finish(ctx); err != nil {
+				return "", DriverStats{}, canceled(err)
+			}
 		}
 	}
-	return "", DriverStats{}, nil
+	return driver, st, nil
 }
 
 // newArbitrary builds one arbitrary-order copy with the given seed. n is the

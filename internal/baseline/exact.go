@@ -1,6 +1,7 @@
 package baseline
 
 import (
+	"context"
 	"fmt"
 
 	"adjstream/internal/graph"
@@ -16,6 +17,8 @@ type ExactStream struct {
 	builder  *graph.Builder
 	items    int64
 	meter    space.Meter
+	count    float64 // the cycle count, once Finish has run
+	counted  bool
 }
 
 var _ stream.Estimator = (*ExactStream)(nil)
@@ -34,7 +37,7 @@ func NewExactStream(cycleLen int) (*ExactStream, error) {
 func (e *ExactStream) Passes() int { return 1 }
 
 // StartPass implements stream.Algorithm.
-func (e *ExactStream) StartPass(int) {}
+func (e *ExactStream) StartPass(int) { e.counted = false }
 
 // StartList implements stream.Algorithm.
 func (e *ExactStream) StartList(owner graph.V) {}
@@ -53,8 +56,24 @@ func (e *ExactStream) EndList(owner graph.V) {}
 // EndPass implements stream.Algorithm.
 func (e *ExactStream) EndPass(p int) {}
 
+// Finish counts the stored graph's cycles under ctx, so that a deadline
+// stops the count and not only the pass loop, and returns ctx's error if
+// it fires first. After a successful Finish, Estimate returns the count
+// without counting again.
+func (e *ExactStream) Finish(ctx context.Context) error {
+	n, err := e.builder.Graph().CountCyclesContext(ctx, e.cycleLen)
+	if err != nil {
+		return err
+	}
+	e.count, e.counted = float64(n), true
+	return nil
+}
+
 // Estimate returns the exact cycle count.
 func (e *ExactStream) Estimate() float64 {
+	if e.counted {
+		return e.count
+	}
 	g := e.builder.Graph()
 	n, err := g.CountCycles(e.cycleLen)
 	if err != nil {

@@ -62,7 +62,7 @@ func (g *Graph) LocalClustering(v V) float64 {
 		return 0
 	}
 	var t int64
-	ns := g.nbr[v]
+	ns := g.Neighbors(v)
 	for i := 0; i < len(ns); i++ {
 		for j := i + 1; j < len(ns); j++ {
 			if g.HasEdge(ns[i], ns[j]) {
@@ -95,17 +95,13 @@ func (g *Graph) ConnectedComponents() [][]V {
 		if seen[s] {
 			continue
 		}
-		var comp []V
-		queue := []V{s}
+		comp := []V{s} // in BFS order; comp[qi:] is the queue
 		seen[s] = true
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			comp = append(comp, v)
-			for _, u := range g.nbr[v] {
+		for qi := 0; qi < len(comp); qi++ {
+			for _, u := range g.Neighbors(comp[qi]) {
 				if !seen[u] {
 					seen[u] = true
-					queue = append(queue, u)
+					comp = append(comp, u)
 				}
 			}
 		}
@@ -128,7 +124,7 @@ func (g *Graph) Induced(vs []V) (*Graph, error) {
 	b := NewBuilder()
 	for v := range keep {
 		b.AddVertex(v)
-		for _, u := range g.nbr[v] {
+		for _, u := range g.Neighbors(v) {
 			if keep[u] && v < u {
 				if err := b.Add(v, u); err != nil {
 					return nil, err
@@ -150,8 +146,8 @@ func (g *Graph) Degeneracy() (int, []V) {
 	}
 	deg := make(map[V]int, n)
 	maxd := 0
-	for _, v := range g.vs {
-		deg[v] = len(g.nbr[v])
+	for i, v := range g.vs {
+		deg[v] = len(g.row(i))
 		if deg[v] > maxd {
 			maxd = deg[v]
 		}
@@ -193,7 +189,7 @@ func (g *Graph) Degeneracy() (int, []V) {
 		}
 		removed[v] = true
 		order = append(order, v)
-		for _, u := range g.nbr[v] {
+		for _, u := range g.Neighbors(v) {
 			if removed[u] {
 				continue
 			}
@@ -221,8 +217,8 @@ func (g *Graph) LocalFourCycles() map[V]int64 {
 // DegreeHistogram returns counts[d] = number of vertices of degree d.
 func (g *Graph) DegreeHistogram() map[int]int {
 	h := make(map[int]int)
-	for _, v := range g.vs {
-		h[len(g.nbr[v])]++
+	for i := range g.vs {
+		h[len(g.row(i))]++
 	}
 	return h
 }

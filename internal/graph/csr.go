@@ -3,15 +3,16 @@ package graph
 import (
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// This file holds the compressed-sparse-row index shared by the exact
-// counting kernels, plus the bounded worker pool they shard their outer
-// vertex loops across. The map-based implementations the kernels replaced
-// are kept in oracle.go as reference oracles for the property tests.
+// This file holds the kernel index the exact counting kernels share, plus
+// the bounded worker pool they shard their outer vertex loops across. The
+// map-based implementations the kernels replaced are kept in oracle.go as
+// reference oracles for the property tests.
 
 // maxWorkers overrides the worker bound of the parallel exact kernels;
 // 0 means runtime.GOMAXPROCS(0).
@@ -41,16 +42,17 @@ func kernelWorkers() int {
 // vertex loop costs more than it saves.
 const parallelThreshold = 1 << 12
 
-// csr is the compressed-sparse-row view of a Graph: vertices renumbered to
+// csr is the kernel index of a Graph. The graph's sorted names and row
+// offsets are shared, not copied; on top of them it holds the rows as
 // dense int32 ids (ascending in vertex name, so dense order and name order
-// agree), neighbor lists flattened into rowPtr/colIdx, the cached
-// degree-rank orientation that the O(m^{3/2}) triangle kernel directs edges
-// along, and a canonical indexing of the m undirected edges so per-edge
-// loads can accumulate in flat slices instead of maps. Built lazily once
-// per (immutable) Graph via sync.Once and shared by all kernels.
+// agree), the cached degree-rank orientation that the O(m^{3/2}) triangle
+// kernel directs edges along, and a canonical indexing of the m undirected
+// edges so per-edge loads can accumulate in flat slices instead of maps.
+// Built lazily once per (immutable) Graph via sync.Once and shared by all
+// kernels.
 type csr struct {
-	verts  []V     // dense id -> vertex name; identical to g.vs
-	rowPtr []int64 // len n+1; row v is colIdx[rowPtr[v]:rowPtr[v+1]]
+	verts  []V     // dense id -> vertex name; the graph's own vs
+	rowPtr []int64 // len n+1, the graph's own off; row v is colIdx[rowPtr[v]:rowPtr[v+1]]
 	colIdx []int32 // dense neighbor ids, ascending within each row
 
 	rank []int32 // position of each dense id in the (degree, id) order
@@ -83,31 +85,25 @@ func buildCSR(g *Graph) *csr {
 		// the int32 column index is a deliberate cache-density choice.
 		panic("graph: CSR index supports at most 2^31 half-edges")
 	}
-	c := &csr{verts: g.vs}
-	dense := make(map[V]int32, n)
-	for i, v := range g.vs {
-		dense[v] = int32(i)
+	// The graph's own rows and names are the index's; only the dense
+	// column ids, rank, orientation and edge ids are built here.
+	c := &csr{verts: g.vs, rowPtr: g.off}
+	if c.rowPtr == nil {
+		c.rowPtr = make([]int64, 1)
 	}
-
-	c.rowPtr = make([]int64, n+1)
-	c.colIdx = make([]int32, 2*g.m)
+	c.colIdx = make([]int32, len(g.adj))
 	c.upStart = make([]int64, n)
 	c.upOff = make([]int64, n+1)
-	pos := int64(0)
 	for i, v := range g.vs {
-		c.rowPtr[i] = pos
-		c.upStart[i] = pos // advanced past the < v neighbors below
-		for _, u := range g.nbr[v] {
-			du := dense[u] // ascending: dense renumbering is monotone
-			c.colIdx[pos] = du
-			if du < int32(i) {
-				c.upStart[i] = pos + 1
-			}
-			pos++
+		lo := c.rowPtr[i]
+		row := g.row(i)
+		for p, u := range row {
+			c.colIdx[lo+int64(p)] = int32(g.index(u)) // monotone: rows ascend in name and dense id
 		}
-		c.upOff[i+1] = c.upOff[i] + (pos - c.upStart[i])
+		up, _ := slices.BinarySearch(row, v) // the first neighbor above v
+		c.upStart[i] = lo + int64(up)
+		c.upOff[i+1] = c.upOff[i] + int64(len(row)-up)
 	}
-	c.rowPtr[n] = pos
 
 	// Degree-rank order: by (degree, id). Directing each edge toward the
 	// higher rank bounds the out-degree by O(√m).
@@ -164,34 +160,15 @@ func (c *csr) out(v int32) ([]int32, []int64) {
 
 // edgeID returns the canonical id of the undirected edge between u and v.
 func (c *csr) edgeID(u, v int32) int64 {
-	a, b := u, v
-	if a > b {
-		a, b = b, a
-	}
-	lo, hi := c.upStart[a], c.rowPtr[a+1]
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if c.colIdx[mid] < b {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return c.upOff[a] + (lo - c.upStart[a])
+	a, b := min(u, v), max(u, v)
+	j, _ := slices.BinarySearch(c.colIdx[c.upStart[a]:c.rowPtr[a+1]], b)
+	return c.upOff[a] + int64(j)
 }
 
 // hasArc reports whether v appears in u's row, by binary search.
 func (c *csr) hasArc(u, v int32) bool {
-	lo, hi := c.rowPtr[u], c.rowPtr[u+1]
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if c.colIdx[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < c.rowPtr[u+1] && c.colIdx[lo] == v
+	_, ok := slices.BinarySearch(c.row(u), v)
+	return ok
 }
 
 // forEachUpEdge calls fn for every canonical edge (a < b) with its id, in

@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+)
 
 func errCycleLen(l int) error { return fmt.Errorf("graph: cycle length %d < 3", l) }
 
@@ -15,6 +18,14 @@ func errCycleLen(l int) error { return fmt.Errorf("graph: cycle length %d < 3", 
 // case); it is intended as ground truth for gadget graphs and test-scale
 // workloads, not for massive inputs.
 func (g *Graph) CountCycles(l int) (int64, error) {
+	return g.CountCyclesContext(context.Background(), l)
+}
+
+// CountCyclesContext is CountCycles under ctx. For l >= 5 the search polls
+// ctx before each start vertex and every pollEvery path extensions, so one
+// hub cannot outlast a deadline, and it returns ctx's error once ctx fires.
+// The triangle and 4-cycle kernels (l = 3, 4) run to completion.
+func (g *Graph) CountCyclesContext(ctx context.Context, l int) (int64, error) {
 	if l < 3 {
 		return 0, errCycleLen(l)
 	}
@@ -25,38 +36,72 @@ func (g *Graph) CountCycles(l int) (int64, error) {
 		return g.FourCycles(), nil
 	}
 	c := g.csr()
-	type acc struct {
-		count  int64
-		onPath []bool
-	}
 	a := reduceShards(c,
-		func() *acc { return &acc{onPath: make([]bool, len(c.verts))} },
-		func(ac *acc, s int32) {
-			ac.onPath[s] = true
-			c.cycleDFS(s, s, 0, l, ac.onPath, &ac.count)
-			ac.onPath[s] = false
-		},
-		func(dst, src *acc) { dst.count += src.count })
+		func() *cycleWalk { return newCycleWalk(ctx, c, l) },
+		(*cycleWalk).from,
+		func(dst, src *cycleWalk) { dst.count += src.count })
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
 	return a.count / 2, nil
 }
 
-// cycleDFS extends a canonical path (all internal vertices > start, in
-// dense order, which coincides with vertex-name order) and closes it back
-// to start at depth l-1.
-func (c *csr) cycleDFS(start, cur int32, depth, l int, onPath []bool, count *int64) {
-	if depth == l-1 {
-		if c.hasArc(cur, start) {
-			*count++
+// pollEvery is the number of path extensions between two polls of the
+// context in a cycle search.
+const pollEvery = 4096
+
+// cycleWalk is one worker's canonical cycle search: paths from start whose
+// internal vertices all lie above start in dense order (which coincides
+// with vertex-name order), closed back to start at length l.
+type cycleWalk struct {
+	c      *csr
+	ctx    context.Context
+	l      int
+	onPath []bool
+	start  int32
+	count  int64 // closed paths found: each cycle twice, once per direction
+	first  bool  // stop at the first closed path
+	stop   bool  // ctx fired, or first is set and a path closed
+	budget int   // extensions left before the next poll of ctx
+}
+
+func newCycleWalk(ctx context.Context, c *csr, l int) *cycleWalk {
+	return &cycleWalk{c: c, ctx: ctx, l: l, onPath: make([]bool, len(c.verts)), budget: pollEvery}
+}
+
+// from searches the cycles whose minimum vertex is s.
+func (w *cycleWalk) from(s int32) {
+	if w.stop = w.stop || w.ctx.Err() != nil; w.stop {
+		return
+	}
+	w.start = s
+	w.onPath[s] = true
+	w.extend(s, 0)
+	w.onPath[s] = false
+}
+
+func (w *cycleWalk) extend(cur int32, depth int) {
+	if depth == w.l-1 {
+		if w.c.hasArc(cur, w.start) {
+			w.count++
+			w.stop = w.first
 		}
 		return
 	}
-	for _, nxt := range c.row(cur) {
-		if nxt <= start || onPath[nxt] {
+	for _, nxt := range w.c.row(cur) {
+		if nxt <= w.start || w.onPath[nxt] {
 			continue
 		}
-		onPath[nxt] = true
-		c.cycleDFS(start, nxt, depth+1, l, onPath, count)
-		onPath[nxt] = false
+		if w.budget--; w.budget == 0 {
+			w.budget = pollEvery
+			w.stop = w.stop || w.ctx.Err() != nil
+		}
+		if w.stop {
+			return
+		}
+		w.onPath[nxt] = true
+		w.extend(nxt, depth+1)
+		w.onPath[nxt] = false
 	}
 }
 
@@ -67,38 +112,12 @@ func (g *Graph) HasCycleOfLength(l int) (bool, error) {
 		return false, errCycleLen(l)
 	}
 	c := g.csr()
-	n := len(c.verts)
-	onPath := make([]bool, n)
-	found := false
-	var dfs func(start, cur int32, depth int)
-	dfs = func(start, cur int32, depth int) {
-		if found {
-			return
-		}
-		if depth == l-1 {
-			if c.hasArc(cur, start) {
-				found = true
-			}
-			return
-		}
-		for _, nxt := range c.row(cur) {
-			if found {
-				return
-			}
-			if nxt <= start || onPath[nxt] {
-				continue
-			}
-			onPath[nxt] = true
-			dfs(start, nxt, depth+1)
-			onPath[nxt] = false
-		}
+	w := newCycleWalk(context.Background(), c, l)
+	w.first = true
+	for s := 0; s < len(c.verts) && !w.stop; s++ {
+		w.from(int32(s))
 	}
-	for s := 0; s < n && !found; s++ {
-		onPath[s] = true
-		dfs(int32(s), int32(s), 0)
-		onPath[s] = false
-	}
-	return found, nil
+	return w.count > 0, nil
 }
 
 // Girth returns the length of a shortest cycle in g, or 0 if g is acyclic.

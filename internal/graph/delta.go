@@ -2,18 +2,18 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Delta is a buffer of edge additions and removals staged against an
 // immutable base Graph. It is the write side of live ingestion: mutations
 // accumulate cheaply in the delta (O(1) per op, no list rebuilding), and
-// Apply materializes a new immutable Graph by copy-on-write — only the
-// adjacency lists of touched vertices are rebuilt; every untouched vertex
-// shares its neighbor slice with the base. Because Apply produces a fresh
-// Graph value, all memoized derived quantities (triangle counts, 4-cycle
-// counts, degree moments, the CSR index, …) are recomputed lazily on first
-// use of the new graph, exactly as for a cold-loaded graph.
+// Apply materializes a new immutable Graph in one merge pass — only the
+// rows of touched vertices are merged; the untouched rows between them are
+// copied as whole blocks. Because Apply produces a fresh Graph value, all
+// memoized derived quantities (triangle counts, 4-cycle counts, degree
+// moments, the kernel index, …) are recomputed lazily on first use of the
+// new graph, exactly as for a cold-loaded graph.
 //
 // Every mutation is validated at staging time against the delta's current
 // view (base plus staged ops): adding a present edge, removing an absent
@@ -62,12 +62,8 @@ func (d *Delta) Empty() bool { return len(d.state) == 0 }
 // Present reports whether {u,v} is an edge of the delta's current view
 // (base plus staged ops).
 func (d *Delta) Present(u, v V) bool {
-	e := Edge{u, v}.Norm()
-	switch d.state[e] {
-	case 1:
-		return true
-	case -1:
-		return false
+	if st := d.state[Edge{u, v}.Norm()]; st != 0 {
+		return st > 0
 	}
 	return d.base.HasEdge(u, v)
 }
@@ -132,104 +128,94 @@ func (d *Delta) Remove(u, v V) error {
 	return nil
 }
 
-// Apply materializes the delta into a new immutable Graph by copy-on-write:
-// adjacency lists of vertices untouched by any staged op are shared with
-// the base graph (not copied), touched lists are rebuilt sorted, and
-// vertices introduced by staged additions are inserted into the vertex
-// order. Vertices whose last edge was removed remain as isolated vertices,
+// Apply materializes the delta into a new immutable Graph by one merge pass
+// over the base's rows: the staged net changes, sorted as packed
+// owner<<32|nbr half-edges, are folded into the rows they touch, every run
+// of untouched rows between two touched ones is copied as one block, and
+// vertices introduced by staged additions get their rows in vertex order.
+// Vertices whose last edge was removed remain as isolated vertices,
 // matching a Builder that saw AddVertex. The base graph is never modified.
 // The delta is consumed: any later op on it panics.
 func (d *Delta) Apply() *Graph {
 	d.checkUsable()
 	d.spent = true
+	base := d.base
 
-	// Per-vertex staged changes, canonical orientation expanded to both
-	// endpoints.
-	type change struct {
-		add []V
-		cut map[V]bool
+	// A staged edge is absent from the base when added and present when
+	// removed, so each touched row is its base row with the staged
+	// neighbors toggled.
+	hs := make([]uint64, 0, 2*len(d.state))
+	for e := range d.state {
+		hs = append(hs, uint64(e.U)<<32|uint64(e.V), uint64(e.V)<<32|uint64(e.U))
 	}
-	touched := make(map[V]*change)
-	chg := func(v V) *change {
-		c, ok := touched[v]
-		if !ok {
-			c = &change{}
-			touched[v] = c
-		}
-		return c
-	}
-	for e, st := range d.state {
-		switch st {
-		case 1:
-			chg(e.U).add = append(chg(e.U).add, e.V)
-			chg(e.V).add = append(chg(e.V).add, e.U)
-		case -1:
-			cu, cv := chg(e.U), chg(e.V)
-			if cu.cut == nil {
-				cu.cut = make(map[V]bool)
-			}
-			if cv.cut == nil {
-				cv.cut = make(map[V]bool)
-			}
-			cu.cut[e.V] = true
-			cv.cut[e.U] = true
+	slices.Sort(hs)
+	owner := func(h uint64) V { return V(h >> 32) }
+	fresh := 0 // owners the base lacks
+	for k := range hs {
+		if (k == 0 || owner(hs[k]) != owner(hs[k-1])) && !base.HasVertex(owner(hs[k])) {
+			fresh++
 		}
 	}
 
+	n := len(base.vs) + fresh
 	g := &Graph{
-		nbr: make(map[V][]V, len(d.base.nbr)+len(touched)),
-		m:   d.base.m + int64(d.adds) - int64(d.cuts),
+		vs:  base.vs,
+		off: make([]int64, n+1),
+		adj: make([]V, 0, 2*(base.m+int64(d.adds)-int64(d.cuts))),
+		m:   base.m + int64(d.adds) - int64(d.cuts),
 	}
-	// Copy-on-write: untouched vertices alias the base's slices.
-	for v, ns := range d.base.nbr {
-		if _, ok := touched[v]; !ok {
-			g.nbr[v] = ns
+	if fresh > 0 {
+		g.vs = make([]V, 0, n)
+	}
+	r, i := 0, 0 // next output row, next base row
+	// copyRows appends base rows [i, end) as one block.
+	copyRows := func(end int) {
+		if end == i {
+			return
 		}
+		shift := int64(len(g.adj)) - base.off[i]
+		g.adj = append(g.adj, base.adj[base.off[i]:base.off[end]]...)
+		for _, o := range base.off[i+1 : end+1] {
+			r++
+			g.off[r] = o + shift
+		}
+		if fresh > 0 {
+			g.vs = append(g.vs, base.vs[i:end]...)
+		}
+		i = end
 	}
-	var newVerts []V
-	for v, c := range touched {
-		base := d.base.nbr[v]
-		ns := make([]V, 0, len(base)+len(c.add))
-		for _, u := range base {
-			if !c.cut[u] {
-				ns = append(ns, u)
+	for k := 0; k < len(hs); {
+		o := owner(hs[k])
+		j, ok := slices.BinarySearch(base.vs[i:], o)
+		copyRows(i + j)
+		var row []V
+		if ok {
+			row = base.row(i)
+			i++
+		}
+		p := 0
+		for ; k < len(hs) && owner(hs[k]) == o; k++ {
+			u := V(uint32(hs[k]))
+			for p < len(row) && row[p] < u {
+				g.adj = append(g.adj, row[p])
+				p++
+			}
+			if p < len(row) && row[p] == u {
+				p++ // staged removal
+			} else {
+				g.adj = append(g.adj, u) // staged addition
 			}
 		}
-		ns = append(ns, c.add...)
-		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-		g.nbr[v] = ns
-		if !d.base.HasVertex(v) {
-			newVerts = append(newVerts, v)
+		g.adj = append(g.adj, row[p:]...)
+		r++
+		g.off[r] = int64(len(g.adj))
+		if fresh > 0 {
+			g.vs = append(g.vs, o)
 		}
 	}
-	// Vertex order: the base's sorted list merged with any new vertices.
-	if len(newVerts) == 0 {
-		g.vs = d.base.vs
-	} else {
-		sort.Slice(newVerts, func(i, j int) bool { return newVerts[i] < newVerts[j] })
-		g.vs = mergeSortedV(d.base.vs, newVerts)
-	}
-	for _, v := range g.vs {
-		if deg := len(g.nbr[v]); deg > g.maxD {
-			g.maxD = deg
-		}
+	copyRows(len(base.vs))
+	for v := range g.vs {
+		g.maxD = max(g.maxD, int(g.off[v+1]-g.off[v]))
 	}
 	return g
-}
-
-// mergeSortedV merges two sorted, disjoint vertex lists.
-func mergeSortedV(a, b []V) []V {
-	out := make([]V, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] < b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
 }

@@ -114,8 +114,8 @@ func (g *Graph) computeFourCycles() int64 {
 func (g *Graph) ForEachFourCycle(fn func(c FourCycle)) {
 	// Collect common-neighbor lists per pair.
 	common := make(map[Edge][]V)
-	for _, v := range g.vs {
-		ns := g.nbr[v]
+	for i, v := range g.vs {
+		ns := g.row(i)
 		for i := 0; i < len(ns); i++ {
 			for j := i + 1; j < len(ns); j++ {
 				k := Edge{ns[i], ns[j]}
@@ -198,7 +198,7 @@ func (g *Graph) FourCycleEdgeLoads() map[Edge]int64 {
 // center. It does not require a,b to be adjacent to center (returns the
 // closure count for the vertex triple as given).
 func (g *Graph) WedgeFourCycleCount(w Wedge) int64 {
-	c := int64(g.commonNeighbors(w.A, w.B))
+	c := int64(g.CommonNeighbors(w.A, w.B))
 	if g.HasEdge(w.A, w.Center) && g.HasEdge(w.B, w.Center) {
 		c-- // exclude the wedge's own center
 	}

@@ -3,7 +3,7 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -41,18 +41,22 @@ func (e Edge) Norm() Edge {
 // String implements fmt.Stringer.
 func (e Edge) String() string { return fmt.Sprintf("{%d,%d}", e.U, e.V) }
 
-// Graph is a finalized simple undirected graph. The zero value is an empty
-// graph. Graphs are built with NewBuilder or FromEdges and are immutable
-// afterwards; all read methods are safe for concurrent use — including the
-// lazily built CSR index and the memoized derived quantities below, which
-// are computed at most once per graph behind sync.Once.
+// Graph is a finalized simple undirected graph in compressed-sparse-row
+// form: the sorted vertex names, row offsets and one neighbor array, row i
+// holding the ascending neighbors of the i-th vertex. The zero value is an
+// empty graph. Graphs are built with NewBuilder, FromEdges or Delta.Apply
+// and are immutable afterwards; all read methods are safe for concurrent
+// use — including the lazily built kernel index and the memoized derived
+// quantities below, which are computed at most once per graph behind
+// sync.Once.
 type Graph struct {
-	nbr  map[V][]V // sorted neighbor lists
-	vs   []V       // sorted vertex list
-	m    int64     // number of edges
-	maxD int       // maximum degree
+	vs   []V     // sorted vertex names
+	off  []int64 // len n+1 (nil for the zero value); row i is adj[off[i]:off[i+1]]
+	adj  []V     // neighbor names, ascending within each row
+	m    int64   // number of edges
+	maxD int     // maximum degree
 
-	// Lazily built CSR index (csr.go), shared by all exact kernels.
+	// Lazily built kernel index (csr.go), shared by all exact kernels.
 	csrOnce sync.Once
 	csrIx   *csr
 
@@ -100,12 +104,9 @@ func (b *Builder) Add(u, v V) error {
 	if u == v {
 		return fmt.Errorf("graph: self-loop at vertex %d", u)
 	}
-	if _, ok := b.nbr[u][v]; ok {
+	if !b.AddIfAbsent(u, v) {
 		return fmt.Errorf("graph: duplicate edge {%d,%d}", u, v)
 	}
-	b.addHalf(u, v)
-	b.addHalf(v, u)
-	b.m++
 	return nil
 }
 
@@ -140,33 +141,28 @@ func (b *Builder) AddVertex(v V) {
 	}
 }
 
-// Has reports whether edge {u,v} is already present.
-func (b *Builder) Has(u, v V) bool {
-	_, ok := b.nbr[u][v]
-	return ok
-}
-
 // M returns the number of edges added so far.
 func (b *Builder) M() int64 { return b.m }
 
-// Graph finalizes the builder into an immutable Graph. The builder may be
-// reused afterwards, but further Adds do not affect the returned Graph.
+// Graph finalizes the builder into an immutable Graph, writing each sorted
+// row straight into the neighbor array. The builder may be reused
+// afterwards, but further Adds do not affect the returned Graph.
 func (b *Builder) Graph() *Graph {
-	g := &Graph{nbr: make(map[V][]V, len(b.nbr)), m: b.m}
-	g.vs = make([]V, 0, len(b.nbr))
-	for v, set := range b.nbr {
-		ns := make([]V, 0, len(set))
-		for u := range set {
-			ns = append(ns, u)
-		}
-		sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-		g.nbr[v] = ns
-		g.vs = append(g.vs, v)
-		if len(ns) > g.maxD {
-			g.maxD = len(ns)
-		}
+	vs := make([]V, 0, len(b.nbr))
+	for v := range b.nbr {
+		vs = append(vs, v)
 	}
-	sort.Slice(g.vs, func(i, j int) bool { return g.vs[i] < g.vs[j] })
+	slices.Sort(vs)
+	g := &Graph{vs: vs, off: make([]int64, len(vs)+1), adj: make([]V, 0, 2*b.m), m: b.m}
+	for i, v := range vs {
+		row := len(g.adj)
+		for u := range b.nbr[v] {
+			g.adj = append(g.adj, u)
+		}
+		slices.Sort(g.adj[row:])
+		g.off[i+1] = int64(len(g.adj))
+		g.maxD = max(g.maxD, len(g.adj)-row)
+	}
 	return g
 }
 
@@ -202,35 +198,68 @@ func (g *Graph) M() int64 { return g.m }
 // MaxDegree returns the maximum vertex degree.
 func (g *Graph) MaxDegree() int { return g.maxD }
 
-// Degree returns the degree of v (0 if v is not in the graph).
-func (g *Graph) Degree(v V) int { return len(g.nbr[v]) }
+// index returns v's row, or -1 when v is not a vertex. Ids 0..n-1 index
+// their rows directly (vertex names are sorted and distinct, so the last
+// being n-1 means every name is its own position); other graphs search.
+func (g *Graph) index(v V) int {
+	if n := len(g.vs); n > 0 && g.vs[n-1] == V(n-1) {
+		if v >= 0 && v < V(n) {
+			return int(v)
+		}
+		return -1
+	}
+	if i, ok := slices.BinarySearch(g.vs, v); ok {
+		return i
+	}
+	return -1
+}
 
-// Neighbors returns the sorted neighbor list of v. The returned slice is
-// shared with the graph and must not be modified.
-func (g *Graph) Neighbors(v V) []V { return g.nbr[v] }
+// row returns the neighbors of the i-th vertex, capacity-capped so an
+// append can never write into the next row.
+func (g *Graph) row(i int) []V { return g.adj[g.off[i]:g.off[i+1]:g.off[i+1]] }
+
+// Degree returns the degree of v (0 if v is not in the graph).
+func (g *Graph) Degree(v V) int {
+	if i := g.index(v); i >= 0 {
+		return int(g.off[i+1] - g.off[i])
+	}
+	return 0
+}
+
+// Neighbors returns the sorted neighbor list of v (nil if v is not in the
+// graph). The returned slice is shared with the graph and must not be
+// modified.
+func (g *Graph) Neighbors(v V) []V {
+	if i := g.index(v); i >= 0 {
+		return g.row(i)
+	}
+	return nil
+}
 
 // Vertices returns the sorted vertex list. The returned slice is shared with
 // the graph and must not be modified.
 func (g *Graph) Vertices() []V { return g.vs }
 
+// Rows returns the adjacency in row form: the ascending neighbors of
+// Vertices()[i] are nbrs[off[i]:off[i+1]]. off has N()+1 entries (it may be
+// nil when N() is 0). Both slices are shared with the graph and must not
+// be modified.
+func (g *Graph) Rows() (off []int64, nbrs []V) { return g.off, g.adj }
+
 // HasVertex reports whether v is a vertex of g.
-func (g *Graph) HasVertex(v V) bool {
-	_, ok := g.nbr[v]
-	return ok
-}
+func (g *Graph) HasVertex(v V) bool { return g.index(v) >= 0 }
 
 // HasEdge reports whether {u,v} is an edge of g.
 func (g *Graph) HasEdge(u, v V) bool {
-	ns := g.nbr[u]
-	i := sort.Search(len(ns), func(i int) bool { return ns[i] >= v })
-	return i < len(ns) && ns[i] == v
+	_, ok := slices.BinarySearch(g.Neighbors(u), v)
+	return ok
 }
 
 // Edges returns all edges in canonical orientation, sorted by (U,V).
 func (g *Graph) Edges() []Edge {
 	es := make([]Edge, 0, g.m)
-	for _, u := range g.vs {
-		for _, v := range g.nbr[u] {
+	for i, u := range g.vs {
+		for _, v := range g.row(i) {
 			if u < v {
 				es = append(es, Edge{u, v})
 			}
@@ -244,8 +273,8 @@ func (g *Graph) Edges() []Edge {
 func (g *Graph) WedgeCount() int64 {
 	g.wedgeOnce.Do(func() {
 		var p2 int64
-		for _, v := range g.vs {
-			d := int64(len(g.nbr[v]))
+		for i := range g.vs {
+			d := g.off[i+1] - g.off[i]
 			p2 += d * (d - 1) / 2
 		}
 		g.wedgeP2 = p2
@@ -253,16 +282,13 @@ func (g *Graph) WedgeCount() int64 {
 	return g.wedgeP2
 }
 
-// DegreeSum returns Σ_v deg(v) = 2m.
-func (g *Graph) DegreeSum() int64 { return 2 * g.m }
-
 // DegreeMoments returns the first three degree moments Σ deg(v),
 // Σ deg(v)², Σ deg(v)³ — the quantities the space bounds' workload
 // parameters (m, P2, heavy-vertex skew) are phrased in. Memoized.
 func (g *Graph) DegreeMoments() (s1, s2, s3 int64) {
 	g.momentsOnce.Do(func() {
-		for _, v := range g.vs {
-			d := int64(len(g.nbr[v]))
+		for i := range g.vs {
+			d := g.off[i+1] - g.off[i]
 			g.degMoments[0] += d
 			g.degMoments[1] += d * d
 			g.degMoments[2] += d * d * d
@@ -271,9 +297,10 @@ func (g *Graph) DegreeMoments() (s1, s2, s3 int64) {
 	return g.degMoments[0], g.degMoments[1], g.degMoments[2]
 }
 
-// commonNeighbors returns |N(u) ∩ N(v)| using a sorted-merge intersection.
-func (g *Graph) commonNeighbors(u, v V) int {
-	a, b := g.nbr[u], g.nbr[v]
+// CommonNeighbors returns the number of common neighbors of u and v, by a
+// sorted-merge intersection of their rows.
+func (g *Graph) CommonNeighbors(u, v V) int {
+	a, b := g.Neighbors(u), g.Neighbors(v)
 	n := 0
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -290,6 +317,3 @@ func (g *Graph) commonNeighbors(u, v V) int {
 	}
 	return n
 }
-
-// CommonNeighbors returns the number of common neighbors of u and v.
-func (g *Graph) CommonNeighbors(u, v V) int { return g.commonNeighbors(u, v) }

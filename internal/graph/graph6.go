@@ -15,10 +15,6 @@ func (g *Graph) Graph6() (string, error) {
 	if n > 258047 {
 		return "", fmt.Errorf("graph: graph6 supports at most 258047 vertices, have %d", n)
 	}
-	idx := make(map[V]int, n)
-	for i, v := range g.vs {
-		idx[v] = i
-	}
 	var b strings.Builder
 	// N(n).
 	switch {
@@ -41,15 +37,13 @@ func (g *Graph) Graph6() (string, error) {
 		}
 	}
 	for j := 1; j < n; j++ {
-		vj := g.vs[j]
-		nbrs := make(map[int]bool, len(g.nbr[vj]))
-		for _, u := range g.nbr[vj] {
-			nbrs[idx[u]] = true
-		}
+		// Row j ascends like the vertex list, so one cursor walks it.
+		row, p := g.row(j), 0
 		for i := 0; i < j; i++ {
 			bit := 0
-			if nbrs[i] {
+			if p < len(row) && row[p] == g.vs[i] {
 				bit = 1
+				p++
 			}
 			flush(bit)
 		}

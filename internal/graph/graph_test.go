@@ -1,9 +1,12 @@
 package graph
 
 import (
+	"context"
+	"errors"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func path(n int) *Graph {
@@ -367,6 +370,37 @@ func TestWedgeFourCycleCountMatchesLoads(t *testing.T) {
 	for w, want := range g.FourCycleWedgeLoads() {
 		if got := g.WedgeFourCycleCount(w); got != want {
 			t.Fatalf("wedge %+v: count %d, loads %d", w, got, want)
+		}
+	}
+}
+
+// TestCountCyclesContextStopsAtDeadline: counting the 9-cycles of K70 would
+// take years, most of it under the first start vertices, so only the
+// in-search poll can stop it. The count must return the deadline's error
+// promptly, inline and on the 4-worker pool (K70 has enough half-edges to
+// shard); with a live context it must match CountCycles.
+func TestCountCyclesContextStopsAtDeadline(t *testing.T) {
+	g := complete(70)
+	for _, workers := range []int{1, 4} {
+		prev := SetMaxWorkers(workers)
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		start := time.Now()
+		n, err := g.CountCyclesContext(ctx, 9)
+		cancel()
+		SetMaxWorkers(prev)
+		if !errors.Is(err, context.DeadlineExceeded) || n != 0 {
+			t.Fatalf("%d workers: CountCyclesContext = %d, %v; want 0, deadline exceeded", workers, n, err)
+		}
+		if el := time.Since(start); el > time.Second {
+			t.Errorf("%d workers: returned after %v, want about the 50ms deadline", workers, el)
+		}
+	}
+	h := randomGraph(40, 0.2, 5)
+	for l := 3; l <= 6; l++ {
+		got, err := h.CountCyclesContext(context.Background(), l)
+		want, _ := h.CountCycles(l)
+		if err != nil || got != want {
+			t.Errorf("CountCyclesContext(%d) = %d, %v; want %d", l, got, err, want)
 		}
 	}
 }

@@ -2,8 +2,8 @@ package graph
 
 import "sort"
 
-// This file preserves the original map-based exact kernels verbatim as
-// unexported reference oracles. The shipping kernels (triangles.go,
+// This file preserves the original map-based exact kernels as unexported
+// reference oracles, reading the graph only through its public accessors. The shipping kernels (triangles.go,
 // fourcycles.go, cycles.go, motifs.go) run over the CSR index in csr.go;
 // the property tests in csr_test.go and the kernel benchmarks assert that
 // the two implementations agree exactly on every workload family.
@@ -15,7 +15,7 @@ func (g *Graph) rankRef() map[V]int {
 	vs := make([]V, len(g.vs))
 	copy(vs, g.vs)
 	sort.Slice(vs, func(i, j int) bool {
-		di, dj := len(g.nbr[vs[i]]), len(g.nbr[vs[j]])
+		di, dj := g.Degree(vs[i]), g.Degree(vs[j])
 		if di != dj {
 			return di < dj
 		}
@@ -37,12 +37,12 @@ func (g *Graph) forEachTriangleRef(fn func(t Triangle)) {
 	for _, v := range g.vs {
 		rv := r[v]
 		var os []V
-		for _, u := range g.nbr[v] {
+		for _, u := range g.Neighbors(v) {
 			if r[u] > rv {
 				os = append(os, u)
 			}
 		}
-		out[v] = os // already sorted: g.nbr[v] is sorted
+		out[v] = os // already sorted: g.Neighbors(v) is sorted
 	}
 	for _, v := range g.vs {
 		ov := out[v]
@@ -108,7 +108,7 @@ func (g *Graph) localTrianglesRef() map[V]int64 {
 func (g *Graph) coDegreeCountsRef() map[Edge]int32 {
 	cnt := make(map[Edge]int32)
 	for _, v := range g.vs {
-		ns := g.nbr[v]
+		ns := g.Neighbors(v)
 		for i := 0; i < len(ns); i++ {
 			for j := i + 1; j < len(ns); j++ {
 				cnt[Edge{ns[i], ns[j]}]++ // ns is sorted, so canonical
@@ -131,7 +131,7 @@ func (g *Graph) fourCycleWedgeLoadsRef() map[Wedge]int64 {
 	cod := g.coDegreeCountsRef()
 	loads := make(map[Wedge]int64)
 	for _, v := range g.vs {
-		ns := g.nbr[v]
+		ns := g.Neighbors(v)
 		for i := 0; i < len(ns); i++ {
 			for j := i + 1; j < len(ns); j++ {
 				c := int64(cod[Edge{ns[i], ns[j]}])
@@ -164,7 +164,7 @@ func (g *Graph) countCyclesRef(l int) (int64, error) {
 			}
 			return
 		}
-		for _, nxt := range g.nbr[cur] {
+		for _, nxt := range g.Neighbors(cur) {
 			if nxt <= start || onPath[nxt] {
 				continue
 			}
@@ -184,7 +184,7 @@ func (g *Graph) countCyclesRef(l int) (int64, error) {
 func (g *Graph) wedgeCountRef() int64 {
 	var p2 int64
 	for _, v := range g.vs {
-		d := int64(len(g.nbr[v]))
+		d := int64(g.Degree(v))
 		p2 += d * (d - 1) / 2
 	}
 	return p2
@@ -193,7 +193,7 @@ func (g *Graph) wedgeCountRef() int64 {
 // tripleCommonRef returns |N(a) ∩ N(b) ∩ N(c)| by three-way sorted merge
 // over the map-held neighbor slices.
 func (g *Graph) tripleCommonRef(a, b, c V) int64 {
-	la, lb, lc := g.nbr[a], g.nbr[b], g.nbr[c]
+	la, lb, lc := g.Neighbors(a), g.Neighbors(b), g.Neighbors(c)
 	i, j, k := 0, 0, 0
 	var n int64
 	for i < len(la) && j < len(lb) && k < len(lc) {
@@ -232,10 +232,10 @@ func (g *Graph) motifsRef() MotifCounts {
 
 	// Path4 and the per-edge degree products.
 	for _, u := range g.vs {
-		du := int64(len(g.nbr[u]))
-		for _, v := range g.nbr[u] {
+		du := int64(g.Degree(u))
+		for _, v := range g.Neighbors(u) {
 			if u < v {
-				dv := int64(len(g.nbr[v]))
+				dv := int64(g.Degree(v))
 				mc.Path4 += (du - 1) * (dv - 1)
 			}
 		}
@@ -244,7 +244,7 @@ func (g *Graph) motifsRef() MotifCounts {
 
 	// Claw.
 	for _, v := range g.vs {
-		d := int64(len(g.nbr[v]))
+		d := int64(g.Degree(v))
 		mc.Claw += d * (d - 1) * (d - 2) / 6
 	}
 
@@ -252,7 +252,7 @@ func (g *Graph) motifsRef() MotifCounts {
 
 	// Paw from local triangle counts.
 	for v, lt := range g.localTrianglesRef() {
-		mc.Paw += lt * int64(len(g.nbr[v])-2)
+		mc.Paw += lt * int64(g.Degree(v)-2)
 	}
 
 	// Diamond from per-edge triangle loads.

@@ -1,10 +1,8 @@
 package serve
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -66,30 +64,34 @@ func (d *Dataset) Version() uint64 { return d.version }
 // Graph returns the immutable graph behind this version.
 func (d *Dataset) Graph() *adjstream.Graph { return d.g }
 
-// Fingerprint returns the content hash of the dataset's graph: FNV-64a
-// over the vertex count, edge count, and every adjacency list in canonical
-// sorted order. Two datasets share a fingerprint iff they hold the same
-// labeled graph, so a cache entry keyed by (name, fingerprint) can never
-// survive a reload that changes the edges behind a name.
+// Fingerprint returns the content hash of the dataset's graph: a 64-bit
+// word hash over the vertex count, edge count, and every adjacency list in
+// canonical sorted order. Two datasets share a fingerprint iff they hold
+// the same labeled graph, so a cache entry keyed by (name, fingerprint)
+// can never survive a reload that changes the edges behind a name.
 func (d *Dataset) Fingerprint() uint64 { return d.fp }
 
-// fingerprintGraph hashes g's canonical adjacency structure.
+// fingerprintGraph hashes g's canonical adjacency structure: n, m, then
+// each vertex name followed by its sorted row, read straight from the
+// graph's rows one 64-bit word at a time.
 func fingerprintGraph(g *adjstream.Graph) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	put(uint64(g.N()))
-	put(uint64(g.M()))
-	for _, u := range g.Vertices() {
-		put(uint64(u))
-		for _, v := range g.Neighbors(u) {
-			put(uint64(v))
+	h := mixWord(mixWord(14695981039346656037, uint64(g.N())), uint64(g.M()))
+	off, nbrs := g.Rows()
+	for i, u := range g.Vertices() {
+		h = mixWord(h, uint64(u))
+		for _, v := range nbrs[off[i]:off[i+1]] {
+			h = mixWord(h, uint64(v))
 		}
 	}
-	return h.Sum64()
+	return h
+}
+
+// mixWord folds the word w into the running hash h. Both steps after the
+// xor (an odd multiply, an xor-shift) are bijections of h, so words that
+// differ always leave different states.
+func mixWord(h, w uint64) uint64 {
+	h = (h ^ w) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
 }
 
 // Info returns the dataset description.

@@ -355,6 +355,46 @@ func TestDeadlineCancelsAndFreesSlot(t *testing.T) {
 	}
 }
 
+// TestExactCycleCountHonoursDeadline: an exact 9-cycle count on K20 runs
+// for hours, and all of it after the pass loop. With timeout_ms 200 the
+// count itself must stop at the deadline — /v1/estimate and
+// /v1/distinguish each answer 504 within about a second and hand the only
+// worker slot back.
+func TestExactCycleCountHonoursDeadline(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1, Queue: -1, CacheEntries: -1})
+	if _, err := srv.cat.Add("k20", completeGraph(t, 20)); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/v1/estimate", "/v1/distinguish"} {
+		req := EstimateRequest{Graph: "k20", CycleLen: 9, TimeoutMS: 200}
+		if path == "/v1/estimate" {
+			req.Algorithm = "exact"
+		}
+		start := time.Now()
+		if code := post(t, ts, path, req, nil); code != http.StatusGatewayTimeout {
+			t.Fatalf("%s: status = %d, want 504", path, code)
+		}
+		if el := time.Since(start); el > 1500*time.Millisecond {
+			t.Errorf("%s: 504 after %v, want about the 200ms deadline", path, el)
+		}
+		deadline := time.After(2 * time.Second)
+		for !srv.Pool().Idle() {
+			select {
+			case <-deadline:
+				t.Fatalf("%s: worker slot still held after the deadline", path)
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}
+	var ok EstimateResponse
+	if code := post(t, ts, "/v1/estimate", EstimateRequest{Graph: "k6", Algorithm: "exact", CycleLen: 5}, &ok); code != http.StatusOK {
+		t.Fatalf("after the deadlines: status = %d, want 200", code)
+	}
+	if ok.Estimate != 72 {
+		t.Errorf("K6 5-cycles = %v, want 72", ok.Estimate)
+	}
+}
+
 // TestClientDisconnectFreesSlot cancels the client's request mid-run and
 // asserts the worker slot is returned.
 func TestClientDisconnectFreesSlot(t *testing.T) {

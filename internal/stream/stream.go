@@ -193,14 +193,44 @@ func FromGraph(g *graph.Graph, listOrder []graph.V) (*Stream, error) {
 }
 
 // Sorted returns the stream with lists in ascending vertex order and sorted
-// neighbors — the canonical deterministic order.
+// neighbors — the canonical deterministic order. The graph's rows already
+// are that stream, so the chunk columns and runs are written straight from
+// them, into one backing array per column; the row form is decoded only if
+// Items() asks for it.
 func Sorted(g *graph.Graph) *Stream {
-	s, err := FromGraph(g, g.Vertices())
-	if err != nil {
-		// Vertices() satisfies FromGraph's contract by construction.
-		panic(err)
+	vs := g.Vertices()
+	off, nbrs := g.Rows()
+	n := len(nbrs)
+	owners, cols := make([]uint32, n), make([]uint32, n)
+	for p, u := range nbrs {
+		cols[p] = uint32(u)
 	}
-	return s
+	lists := 0
+	for i, v := range vs {
+		if off[i] < off[i+1] {
+			lists++
+		}
+		for p := off[i]; p < off[i+1]; p++ {
+			owners[p] = uint32(v)
+		}
+	}
+	runs := make([]int32, 0, lists)
+	chunks := make([]Chunk, (n+DefaultChunkItems-1)/DefaultChunkItems)
+	i := 0 // next row
+	for c := range chunks {
+		lo, hi := c*DefaultChunkItems, min((c+1)*DefaultChunkItems, n)
+		from := len(runs)
+		for ; i < len(vs) && off[i] < int64(hi); i++ {
+			if off[i] < off[i+1] {
+				runs = append(runs, int32(off[i]-int64(lo)))
+			}
+		}
+		chunks[c] = Chunk{Owners: owners[lo:hi:hi], Nbrs: cols[lo:hi:hi]}
+		if len(runs) > from {
+			chunks[c].Runs = runs[from:len(runs):len(runs)]
+		}
+	}
+	return &Stream{chunks: chunks, n: n, lists: lists, m: g.M()}
 }
 
 // SortedDesc returns the stream with lists in ascending vertex order but
