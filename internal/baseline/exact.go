@@ -17,7 +17,7 @@ type ExactStream struct {
 	builder  *graph.Builder
 	items    int64
 	meter    space.Meter
-	count    float64 // the cycle count, once Finish has run
+	count    float64 // the cycle count, once counted
 	counted  bool
 }
 
@@ -69,17 +69,13 @@ func (e *ExactStream) Finish(ctx context.Context) error {
 	return nil
 }
 
-// Estimate returns the exact cycle count.
+// Estimate returns the exact cycle count, counting it first unless Finish
+// already has.
 func (e *ExactStream) Estimate() float64 {
-	if e.counted {
-		return e.count
+	if !e.counted {
+		_ = e.Finish(context.Background()) // cannot fail: the context never fires
 	}
-	g := e.builder.Graph()
-	n, err := g.CountCycles(e.cycleLen)
-	if err != nil {
-		return 0
-	}
-	return float64(n)
+	return e.count
 }
 
 // SpaceWords implements stream.Estimator.

@@ -157,13 +157,8 @@ func (d *Delta) Apply() *Graph {
 		}
 	}
 
-	n := len(base.vs) + fresh
-	g := &Graph{
-		vs:  base.vs,
-		off: make([]int64, n+1),
-		adj: make([]V, 0, 2*(base.m+int64(d.adds)-int64(d.cuts))),
-		m:   base.m + int64(d.adds) - int64(d.cuts),
-	}
+	n, m := len(base.vs)+fresh, base.m+int64(d.adds)-int64(d.cuts)
+	g := &Graph{vs: base.vs, off: make([]int64, n+1), adj: make([]V, 0, 2*m), m: m}
 	if fresh > 0 {
 		g.vs = make([]V, 0, n)
 	}
