@@ -199,10 +199,11 @@ func (g *Graph) M() int64 { return g.m }
 func (g *Graph) MaxDegree() int { return g.maxD }
 
 // index returns v's row, or -1 when v is not a vertex. Ids 0..n-1 index
-// their rows directly (vertex names are sorted and distinct, so the last
-// being n-1 means every name is its own position); other graphs search.
+// their rows directly (vertex names are sorted and distinct, so a first
+// name 0 and a last name n-1 mean every name is its own position); other
+// graphs search.
 func (g *Graph) index(v V) int {
-	if n := len(g.vs); n > 0 && g.vs[n-1] == V(n-1) {
+	if n := len(g.vs); n > 0 && g.vs[0] == 0 && g.vs[n-1] == V(n-1) {
 		if v >= 0 && v < V(n) {
 			return int(v)
 		}

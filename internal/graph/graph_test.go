@@ -573,3 +573,20 @@ func TestCountCyclesAgreesQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLookupNegativeAndDenseIDs: the direct lookup for ids 0..n-1 must not
+// capture other graphs whose last name is n-1. AddVertex and AddIfAbsent
+// do not range-check ids, so a graph can hold a negative name.
+func TestLookupNegativeAndDenseIDs(t *testing.T) {
+	b := NewBuilder()
+	b.AddIfAbsent(-1, 1)
+	g := b.Graph()
+	if !g.HasVertex(-1) || !g.HasEdge(-1, 1) || g.Degree(1) != 1 || g.HasVertex(0) {
+		t.Errorf("names {-1, 1}: HasVertex(-1)=%v HasEdge(-1,1)=%v Degree(1)=%d HasVertex(0)=%v",
+			g.HasVertex(-1), g.HasEdge(-1, 1), g.Degree(1), g.HasVertex(0))
+	}
+	d := MustFromEdges([]Edge{{0, 1}, {1, 2}})
+	if d.HasVertex(3) || d.HasVertex(-1) || d.Degree(1) != 2 || !d.HasEdge(2, 1) {
+		t.Error("names 0..2: direct lookup wrong")
+	}
+}

@@ -66,6 +66,9 @@ func mergeOps(g *adjstream.Graph, ops int, seed uint64) (add, remove []adjstream
 	return add, remove
 }
 
+// mergeSink keeps the benchmark's merged datasets observable.
+var mergeSink *Dataset
+
 // BenchmarkDatasetMerge times one threshold merge of an ingest version —
 // Delta.Apply, the canonical sorted stream and the fingerprint, which is
 // what MutableDataset.mergeLocked does under the dataset lock — at the
@@ -99,7 +102,7 @@ func BenchmarkDatasetMerge(b *testing.B) {
 					}
 				}
 				b.StartTimer()
-				newDataset(sh.name, d.Apply(), 2)
+				mergeSink = newDataset(sh.name, d.Apply(), 2)
 			}
 		})
 	}

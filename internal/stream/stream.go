@@ -3,6 +3,7 @@ package stream
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sync"
 
 	"adjstream/internal/graph"
@@ -151,29 +152,32 @@ func FromItems(items []Item) (*Stream, error) {
 }
 
 // graphItems lays out g's lists in the given arrival order with sorted
-// neighbors, validating the list-order contract of FromGraph.
+// neighbors, validating the list-order contract of FromGraph. Each listed
+// vertex is found among g's rows once, by binary search.
 func graphItems(g *graph.Graph, listOrder []graph.V) (items []Item, lists int, err error) {
-	seen := make(map[graph.V]bool, len(listOrder))
+	vs := g.Vertices()
+	off, nbrs := g.Rows()
+	seen := make([]bool, len(vs))
 	items = make([]Item, 0, 2*g.M())
 	for _, v := range listOrder {
-		if seen[v] {
-			return nil, 0, fmt.Errorf("stream: vertex %d repeated in list order", v)
-		}
-		seen[v] = true
-		if !g.HasVertex(v) {
+		i, ok := slices.BinarySearch(vs, v)
+		if !ok {
 			return nil, 0, fmt.Errorf("stream: vertex %d not in graph", v)
 		}
-		ns := g.Neighbors(v)
-		if len(ns) == 0 {
+		if seen[i] {
+			return nil, 0, fmt.Errorf("stream: vertex %d repeated in list order", v)
+		}
+		seen[i] = true
+		if off[i] == off[i+1] {
 			continue
 		}
 		lists++
-		for _, u := range ns {
+		for _, u := range nbrs[off[i]:off[i+1]] {
 			items = append(items, Item{Owner: v, Nbr: u})
 		}
 	}
-	for _, v := range g.Vertices() {
-		if g.Degree(v) > 0 && !seen[v] {
+	for i, v := range vs {
+		if off[i] < off[i+1] && !seen[i] {
 			return nil, 0, fmt.Errorf("stream: vertex %d missing from list order", v)
 		}
 	}
