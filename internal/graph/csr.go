@@ -4,7 +4,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -94,33 +93,34 @@ func buildCSR(g *Graph) *csr {
 	c.colIdx = make([]int32, len(g.adj))
 	c.upStart = make([]int64, n)
 	c.upOff = make([]int64, n+1)
+	// Only the neighbors above each vertex are looked up: the edge {i,j}
+	// with i < j also fills j's part below j, whose next slot is low[j],
+	// and rows are visited in ascending i, the order that part is sorted in.
+	low := slices.Clone(c.rowPtr[:n])
 	for i, v := range g.vs {
-		lo := c.rowPtr[i]
 		row := g.row(i)
-		for p, u := range row {
-			c.colIdx[lo+int64(p)] = int32(g.index(u)) // monotone: rows ascend in name and dense id
-		}
 		up, _ := slices.BinarySearch(row, v) // the first neighbor above v
-		c.upStart[i] = lo + int64(up)
+		c.upStart[i] = c.rowPtr[i] + int64(up)
 		c.upOff[i+1] = c.upOff[i] + int64(len(row)-up)
+		for p, u := range row[up:] {
+			j := g.index(u)
+			c.colIdx[c.upStart[i]+int64(p)] = int32(j)
+			c.colIdx[low[j]] = int32(i)
+			low[j]++
+		}
 	}
 
 	// Degree-rank order: by (degree, id). Directing each edge toward the
 	// higher rank bounds the out-degree by O(√m).
-	perm := make([]int32, n)
-	for i := range perm {
-		perm[i] = int32(i)
+	// Packed as degree<<32|id, the keys sort in exactly that order.
+	keys := make([]uint64, n)
+	for v := range keys {
+		keys[v] = uint64(c.degree(int32(v)))<<32 | uint64(v)
 	}
-	sort.Slice(perm, func(i, j int) bool {
-		di, dj := c.degree(perm[i]), c.degree(perm[j])
-		if di != dj {
-			return di < dj
-		}
-		return perm[i] < perm[j]
-	})
+	slices.Sort(keys)
 	c.rank = make([]int32, n)
-	for p, v := range perm {
-		c.rank[v] = int32(p)
+	for p, k := range keys {
+		c.rank[uint32(k)] = int32(p)
 	}
 
 	c.outPtr = make([]int64, n+1)
