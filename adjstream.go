@@ -503,15 +503,11 @@ func buildCopies[E any](o Options, lo, hi int, newCopy func(seed uint64) (E, err
 	return copies, nil
 }
 
-// finisher is a copy with work left after its passes — the exact
-// counter's cycle count — which must run under the run's context too.
-type finisher interface{ Finish(context.Context) error }
-
 // runCopies runs every copy over s under ctx: on the broadcast driver when
 // Parallel is set and there is more than one copy, otherwise one copy after
-// another. Then it finishes the copies that are finishers, under the same
-// ctx. It returns the driver that ran them ("" for sequential runs) and the
-// broadcast counters.
+// another. Exact copies then count their cycles under the same ctx — the
+// one part of a run that comes after the passes. It returns the driver
+// that ran them ("" for sequential runs) and the broadcast counters.
 func (o Options) runCopies(ctx context.Context, s *Stream, copies []Estimator) (driver Driver, st DriverStats, err error) {
 	if o.Parallel && len(copies) > 1 {
 		if st, err = stream.RunBroadcastContext(ctx, s, copies); err != nil {
@@ -526,8 +522,8 @@ func (o Options) runCopies(ctx context.Context, s *Stream, copies []Estimator) (
 		}
 	}
 	for _, e := range copies {
-		if f, ok := e.(finisher); ok {
-			if err := f.Finish(ctx); err != nil {
+		if ex, ok := e.(*baseline.ExactStream); ok {
+			if err := ex.Finish(ctx); err != nil {
 				return "", DriverStats{}, canceled(err)
 			}
 		}
