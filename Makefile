@@ -139,17 +139,21 @@ merge-smoke:
 
 # Fuzz smoke: `go test` only replays the seed corpora, so give every
 # decoder that reads bytes from disk or the network a short real fuzzing
-# run — text and edge-list streams, "adjC" columnar files and "adjM"
-# snapshot sets — and the graph layer's differential targets: the CSR
-# kernels against the map-based oracles, and Delta staging and Apply
-# against a rebuild. A crashing input is saved under the package's
-# testdata/fuzz/ for the regression suite.
+# run — text and edge-list streams, "adjC" columnar files, "adjM"
+# snapshot sets and arbitrary-order edge files — and the graph layer's
+# differential targets: the CSR kernels against the map-based oracles, and
+# Delta staging and Apply against a rebuild. A crashing input is saved
+# under the package's testdata/fuzz/ for the regression suite.
 FUZZ_TARGETS_STREAM = FuzzReadText FuzzReadEdgeList FuzzColumnarDecode FuzzReadSnapshotSet
+FUZZ_TARGETS_ARBITRARY = FuzzReadEdges
 FUZZ_TARGETS_GRAPH = FuzzCSRKernels FuzzDeltaApplyMatchesRebuild
 
 fuzz-smoke:
 	for f in $(FUZZ_TARGETS_STREAM); do \
 		$(GO) test -run=NONE -fuzz="^$$f\$$" -fuzztime=10s ./internal/stream/ || exit 1; \
+	done
+	for f in $(FUZZ_TARGETS_ARBITRARY); do \
+		$(GO) test -run=NONE -fuzz="^$$f\$$" -fuzztime=10s ./internal/arbitrary/ || exit 1; \
 	done
 	for f in $(FUZZ_TARGETS_GRAPH); do \
 		$(GO) test -run=NONE -fuzz="^$$f\$$" -fuzztime=10s ./internal/graph/ || exit 1; \

@@ -37,7 +37,9 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"adjstream/internal/arbitrary"
 	"adjstream/internal/baseline"
@@ -367,10 +369,10 @@ type Options struct {
 	Confidence float64
 	// Parallel runs median copies concurrently. Adjacency-list copies share
 	// the broadcast driver, whose workers are bounded by GOMAXPROCS;
-	// arbitrary-order copies each run on a goroutine of their own, one per
-	// copy, with no bound (ROADMAP item 2 moves them onto the broadcast
-	// driver). Results are identical to the sequential run; only wall time
-	// changes.
+	// arbitrary-order copies run on min(copies, GOMAXPROCS) workers, each
+	// building, running and recycling one copy at a time, so a run holds at
+	// most that many copy states. Results are identical to the sequential
+	// run; only wall time changes.
 	Parallel bool
 	// Driver must be empty or DriverBroadcast, the one parallel execution
 	// driver (one stream read per pass shared by all copies). Only
@@ -505,9 +507,11 @@ func buildCopies[E any](o Options, lo, hi int, newCopy func(seed uint64) (E, err
 
 // runCopies runs every copy over s under ctx: on the broadcast driver when
 // Parallel is set and there is more than one copy, otherwise one copy after
-// another. Exact copies then count their cycles under the same ctx — the
-// one part of a run that comes after the passes. It returns the driver
-// that ran them ("" for sequential runs) and the broadcast counters.
+// another. The first exact copy then counts its cycles under the same ctx —
+// the one part of a run that comes after the passes — and the others take
+// its count: they read the same stream, and an exact copy ignores its seed.
+// It returns the driver that ran them ("" for sequential runs) and the
+// broadcast counters.
 func (o Options) runCopies(ctx context.Context, s *Stream, copies []Estimator) (driver Driver, st DriverStats, err error) {
 	if o.Parallel && len(copies) > 1 {
 		if st, err = stream.RunBroadcastContext(ctx, s, copies); err != nil {
@@ -521,12 +525,20 @@ func (o Options) runCopies(ctx context.Context, s *Stream, copies []Estimator) (
 			}
 		}
 	}
+	var counted *baseline.ExactStream
 	for _, e := range copies {
-		if ex, ok := e.(*baseline.ExactStream); ok {
-			if err := ex.Finish(ctx); err != nil {
-				return "", DriverStats{}, canceled(err)
-			}
+		ex, ok := e.(*baseline.ExactStream)
+		if !ok {
+			continue
 		}
+		if counted != nil {
+			ex.FinishFrom(counted)
+			continue
+		}
+		if err := ex.Finish(ctx); err != nil {
+			return "", DriverStats{}, canceled(err)
+		}
+		counted = ex
 	}
 	return driver, st, nil
 }
@@ -733,9 +745,10 @@ func Estimate(s *Stream, opts Options) (Result, error) {
 // With Options.Model = ModelArbitrary the adjacency-list stream is first
 // converted to an arbitrary-order edge stream (each edge at its first
 // occurrence, see NewArbitraryStream) and the run proceeds as in
-// EstimateArbitraryContext: same copies/median machinery and per-copy seed
-// schedule, but no driver (Result.Driver is empty; Parallel runs the copies
-// concurrently, each replaying the edge sequence).
+// EstimateArbitraryContext: same median and per-copy seed schedule, but no
+// driver (Result.Driver is empty; Parallel runs the copies on at most
+// GOMAXPROCS workers, each replaying the edge sequence, and a run holds at
+// most that many copy states).
 func EstimateContext(ctx context.Context, s *Stream, opts Options) (Result, error) {
 	if err := opts.Validate(); err != nil {
 		return Result{}, err
@@ -755,7 +768,8 @@ func EstimateContext(ctx context.Context, s *Stream, opts Options) (Result, erro
 }
 
 // recycler is a copy whose state a later copy of its type can reuse: the
-// core estimators (see DESIGN.md §4, "Copy lifecycle").
+// core and arbitrary-order estimators (see DESIGN.md §4, "Copy
+// lifecycle").
 type recycler interface{ Recycle() }
 
 // recycle hands back the state of every copy that can be recycled. Call it
@@ -769,16 +783,21 @@ func recycle(copies []Estimator) {
 	}
 }
 
-// EstimateArbitraryContext builds opts.copies() independent copies of the
+// EstimateArbitraryContext runs opts.copies() independent copies of the
 // selected arbitrary-order estimator (per-copy seeds on the standard
-// schedule), replays s through each under ctx, and reports the median.
-// Options.Model may be left empty — it is taken as ModelArbitrary — but
-// ModelAdjacencyList is rejected. Parallel runs the copies concurrently,
-// one goroutine per copy with no GOMAXPROCS bound, each replaying the edge
-// sequence independently; results are identical to the sequential run.
+// schedule) over s under ctx and reports their median. Options.Model may
+// be left empty — it is taken as ModelArbitrary — but ModelAdjacencyList is
+// rejected. Copy 0 is built before any copy runs, so option errors (which
+// wrap ErrUnknownAlgorithm or ErrInvalidOptions) surface first. The copies
+// then run on min(k, GOMAXPROCS) workers when Parallel is set, and on the
+// calling goroutine otherwise: a worker builds the next copy, replays the
+// edge sequence through it, keeps its estimate and space words, and hands
+// its state back for a later copy before it builds another. So a run holds
+// at most that many copy states, and starts one goroutine fewer than it
+// has workers. Results are identical to the sequential run.
 // Result.Driver is always empty: the parallel stream drivers are an
-// adjacency-list facility. Cancellation surfaces as ErrCanceled; option
-// errors wrap ErrUnknownAlgorithm or ErrInvalidOptions.
+// adjacency-list facility. Cancellation surfaces as ErrCanceled, and the
+// copies that were running are dropped.
 func EstimateArbitraryContext(ctx context.Context, s *ArbitraryStream, opts Options) (Result, error) {
 	if opts.Model != "" && opts.Model != ModelArbitrary {
 		return Result{}, fmt.Errorf("%w: EstimateArbitraryContext runs Model %q; got %q", ErrInvalidOptions, ModelArbitrary, opts.Model)
@@ -787,48 +806,85 @@ func EstimateArbitraryContext(ctx context.Context, s *ArbitraryStream, opts Opti
 	if err := opts.Validate(); err != nil {
 		return Result{}, err
 	}
-	c := opts.copies()
+	k := opts.copies()
 	n := s.N() // one scan of the edges, shared by every copy
-	copies, err := buildCopies(opts, 0, c, func(seed uint64) (arbitrary.Estimator, error) {
-		return opts.newArbitrary(seed, n)
+	return opts.runArbitrary(ctx, s, func(i int) (arbitrary.Estimator, error) {
+		return opts.newArbitrary(opts.copySeed(i, k), n)
 	})
+}
+
+// runArbitrary runs the k = o.copies() copies of an arbitrary-order run
+// over s under ctx, copy i built by newCopy(i), and reports their median.
+// Each worker takes the next copy index, builds that copy (copy 0 is built
+// before the workers start), runs it, stores its estimate and space words
+// by index and recycles it. After the first error no worker takes another
+// index, and the error is returned.
+func (o Options) runArbitrary(ctx context.Context, s *ArbitraryStream, newCopy func(i int) (arbitrary.Estimator, error)) (Result, error) {
+	k := o.copies()
+	first, err := newCopy(0)
 	if err != nil {
 		return Result{}, err
 	}
-	if opts.Parallel && c > 1 {
-		errs := make([]error, c)
-		var wg sync.WaitGroup
-		for i, e := range copies {
-			wg.Add(1)
-			go func(i int, e arbitrary.Estimator) {
-				defer wg.Done()
-				errs[i] = arbitrary.RunContext(ctx, s, e)
-			}(i, e)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return Result{}, canceled(err)
+	passes := first.Passes()
+	ests, words := make([]float64, k), make([]int64, k)
+	var (
+		next   atomic.Int64 // the next copy index to take
+		failed atomic.Bool
+	)
+	work := func() error {
+		for !failed.Load() {
+			i := int(next.Add(1) - 1)
+			if i >= k {
+				return nil
 			}
-		}
-	} else {
-		for _, e := range copies {
+			e := first
+			if i > 0 {
+				var err error
+				if e, err = newCopy(i); err != nil {
+					failed.Store(true)
+					return err
+				}
+			}
 			if err := arbitrary.RunContext(ctx, s, e); err != nil {
-				return Result{}, canceled(err)
+				failed.Store(true)
+				return canceled(err) // e is dropped, not recycled
 			}
+			ests[i], words[i] = e.Estimate(), e.SpaceWords()
+			if r, ok := e.(recycler); ok {
+				r.Recycle()
+			}
+		}
+		return nil
+	}
+	workers := 1
+	if o.Parallel {
+		workers = min(k, runtime.GOMAXPROCS(0))
+	}
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[w] = work()
+		}()
+	}
+	errs[0] = work()
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return Result{}, err
 		}
 	}
-	ests := make([]float64, c)
 	var sp int64
-	for i, e := range copies {
-		ests[i] = e.Estimate()
-		sp += e.SpaceWords()
+	for _, w := range words {
+		sp += w
 	}
 	return Result{
 		Estimate:   stats.Median(ests),
 		SpaceWords: sp,
-		Passes:     copies[0].Passes(),
+		Passes:     passes,
 		M:          s.M(),
-		Copies:     c,
+		Copies:     k,
 	}, nil
 }

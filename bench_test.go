@@ -472,9 +472,9 @@ func BenchmarkThroughputAdaptive(b *testing.B) {
 // the service-level benchmarks blur.
 //
 // The sub-benchmarks named by algorithm build every copy from zero state.
-// Those under recycled/ hand each copy back with Recycle once its words are
-// read, as the facade does, so every copy after the first is built on the
-// previous one's spent state.
+// Those under recycled/ (the core and the arbitrary-order estimators) hand
+// each copy back with Recycle once its words are read, as the facade does,
+// so every copy after the first is built on the previous one's spent state.
 func BenchmarkEstimatorCopy(b *testing.B) {
 	g, err := gen.ChungLu(2000, 2.2, 400, 1)
 	if err != nil {
@@ -511,26 +511,37 @@ func BenchmarkEstimatorCopy(b *testing.B) {
 		})
 	}
 	as := NewArbitraryStream(s)
+	runArbitrary := func(b *testing.B, opts Options) func(seed uint64) (any, int64, int64) {
+		return func(seed uint64) (any, int64, int64) {
+			e, err := opts.newArbitrary(seed, as.N())
+			if err != nil {
+				b.Fatal(err)
+			}
+			arbitrary.Run(as, e)
+			return e, as.M() * int64(e.Passes()), e.SpaceWords()
+		}
+	}
+	var arbitraryOpts []Options
 	for _, algo := range AlgorithmsForModel(ModelArbitrary) {
 		opts := Options{Model: ModelArbitrary, Algorithm: algo, SampleProb: 0.05}
 		if algo == AlgoArbBuriol {
 			opts = Options{Model: ModelArbitrary, Algorithm: algo, SampleSize: 512}
 		}
+		arbitraryOpts = append(arbitraryOpts, opts)
 		b.Run(string(algo), func(b *testing.B) {
-			benchCopies(b, func(seed uint64) (any, int64, int64) {
-				e, err := opts.newArbitrary(seed, as.N())
-				if err != nil {
-					b.Fatal(err)
-				}
-				arbitrary.Run(as, e)
-				return e, as.M() * int64(e.Passes()), e.SpaceWords()
-			}, nil)
+			benchCopies(b, runArbitrary(b, opts), nil)
 		})
 	}
 	b.Run("recycled", func(b *testing.B) {
+		recycle := func(e any) { e.(recycler).Recycle() }
 		for _, opts := range recyclable {
 			b.Run(string(opts.Algorithm), func(b *testing.B) {
-				benchCopies(b, runCopy(b, opts), func(e any) { e.(recycler).Recycle() })
+				benchCopies(b, runCopy(b, opts), recycle)
+			})
+		}
+		for _, opts := range arbitraryOpts {
+			b.Run(string(opts.Algorithm), func(b *testing.B) {
+				benchCopies(b, runArbitrary(b, opts), recycle)
 			})
 		}
 	})

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand/v2"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -181,7 +182,7 @@ func RunContext(ctx context.Context, s *Stream, a Algorithm) error {
 // two, so the edge closing a pair closes all of its wedges at once.
 type TwoPassWedge struct {
 	p       float64
-	sampler *sampling.FixedProb
+	sampler sampling.FixedProb
 
 	incident adjacency
 	byPair   flat.Table // PackEdge of a wedge's open pair → wedges on it
@@ -196,17 +197,39 @@ type TwoPassWedge struct {
 
 var _ Estimator = (*TwoPassWedge)(nil)
 
-// NewTwoPassWedge returns the estimator with edge-sampling probability p.
+var twoPassWedges flat.Pool[TwoPassWedge]
+
+// NewTwoPassWedge returns the estimator with edge-sampling probability p,
+// built on a recycled state when there is one.
 func NewTwoPassWedge(p float64, seed uint64) (*TwoPassWedge, error) {
 	if p <= 0 || p > 1 {
 		return nil, fmt.Errorf("arbitrary: sampling probability %v out of (0,1]", p)
 	}
-	sampler, err := sampling.NewFixedProb(p, seed)
-	if err != nil {
+	t := twoPassWedges.Get()
+	if err := t.init(p, seed); err != nil {
 		return nil, err
 	}
-	return &TwoPassWedge{p: p, sampler: sampler}, nil
+	return t, nil
 }
+
+// init makes t a fresh estimator, keeping the memory of its state.
+func (t *TwoPassWedge) init(p float64, seed uint64) error {
+	if err := t.sampler.Init(p, seed); err != nil {
+		return err
+	}
+	t.p = p
+	t.incident.reset()
+	t.byPair.Reset()
+	t.wedges, t.closed = 0, 0
+	t.pass, t.items, t.m = 0, 0, 0
+	t.meter = space.Meter{}
+	return nil
+}
+
+// Recycle hands t's state to a later NewTwoPassWedge, which reuses its
+// memory. Call it once t's run has completed and every result read from t
+// is taken; t must not be used afterwards.
+func (t *TwoPassWedge) Recycle() { twoPassWedges.Put(t) }
 
 // Passes implements Algorithm.
 func (t *TwoPassWedge) Passes() int { return 2 }
@@ -284,7 +307,8 @@ func (t *TwoPassWedge) M() int64 { return t.m }
 // work in both models.
 type BuriolSampler struct {
 	n   int64
-	rng *rand.Rand
+	pcg rand.PCG
+	rng *rand.Rand // draws from pcg; bound once
 
 	inst []buriolInstance
 
@@ -304,8 +328,10 @@ type buriolInstance struct {
 
 var _ Estimator = (*BuriolSampler)(nil)
 
+var buriolSamplers flat.Pool[BuriolSampler]
+
 // NewBuriolSampler returns a sampler with r independent instances over the
-// vertex universe {0, …, n-1}.
+// vertex universe {0, …, n-1}, built on a recycled state when there is one.
 func NewBuriolSampler(r int, n int64, seed uint64) (*BuriolSampler, error) {
 	if r < 1 {
 		return nil, fmt.Errorf("arbitrary: instance count %d < 1", r)
@@ -313,14 +339,30 @@ func NewBuriolSampler(r int, n int64, seed uint64) (*BuriolSampler, error) {
 	if n < 3 {
 		return nil, fmt.Errorf("arbitrary: vertex universe %d < 3", n)
 	}
-	b := &BuriolSampler{
-		n:    n,
-		rng:  rand.New(rand.NewPCG(seed, seed^0x3c79_ac49_2ba7_b653)),
-		inst: make([]buriolInstance, r),
-	}
-	b.meter.Charge(int64(r) * (space.WordsPerEdge + 2))
+	b := buriolSamplers.Get()
+	b.init(r, n, seed)
 	return b, nil
 }
+
+// init makes b a fresh sampler, reseeding its generator in place and
+// keeping the memory of its instances.
+func (b *BuriolSampler) init(r int, n int64, seed uint64) {
+	b.n = n
+	b.pcg.Seed(seed, seed^0x3c79_ac49_2ba7_b653)
+	if b.rng == nil {
+		b.rng = rand.New(&b.pcg)
+	}
+	b.inst = slices.Grow(b.inst[:0], r)[:r]
+	clear(b.inst)
+	b.pos, b.m = 0, 0
+	b.meter = space.Meter{}
+	b.meter.Charge(int64(r) * (space.WordsPerEdge + 2))
+}
+
+// Recycle hands b's state to a later NewBuriolSampler, which reuses its
+// memory. Call it once b's run has completed and every result read from b
+// is taken; b must not be used afterwards.
+func (b *BuriolSampler) Recycle() { buriolSamplers.Put(b) }
 
 // Passes implements Algorithm.
 func (b *BuriolSampler) Passes() int { return 1 }

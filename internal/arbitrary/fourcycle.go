@@ -56,8 +56,20 @@ type pairTracker struct {
 	lights  flat.Table    // light endpoint → number of its pairs
 	byHeavy csr[int32]    // heavy endpoint → pair ids, creation order
 	pending flat.Table    // light<<32 | neighbour → 0
+	keys    []uint64      // pending's keys, for nbrOf
 	nbrOf   csr[uint32]   // neighbour → light vertices, from pending
 	meter   *space.Meter
+}
+
+// init empties t, keeping its memory, and binds it to its owner's meter.
+func (t *pairTracker) init(meter *space.Meter) {
+	t.pairs = t.pairs[:0]
+	t.index.Reset()
+	t.lights.Reset()
+	t.byHeavy.reset()
+	t.pending.Reset()
+	t.nbrOf.reset()
+	t.meter = meter
 }
 
 // pair returns the tracked pair for {a,b}, creating it on first use. The
@@ -110,7 +122,8 @@ func (t *pairTracker) collect(v, w graph.V) {
 
 // invert builds nbrOf from the pending set. Called at the end of pass two.
 func (t *pairTracker) invert() {
-	keys := t.pending.AppendKeys(make([]uint64, 0, t.pending.Len()))
+	t.keys = t.pending.AppendKeys(t.keys[:0])
+	keys := t.keys
 	t.nbrOf.build(len(keys), func(i int) (graph.V, uint32) { return graph.V(uint32(keys[i])), uint32(keys[i] >> 32) })
 }
 
@@ -163,7 +176,7 @@ func (t *pairTracker) witness(c, h graph.V) {
 // the closure state near the paper's budget instead of Θ(Δ) per pair.
 type ThreePassFourCycle struct {
 	p       float64
-	sampler *sampling.FixedProb
+	sampler sampling.FixedProb
 
 	incident adjacency // sampled-edge adjacency (pass one only)
 	tracker  pairTracker
@@ -176,17 +189,35 @@ type ThreePassFourCycle struct {
 
 var _ Estimator = (*ThreePassFourCycle)(nil)
 
+var threePassFourCycles flat.Pool[ThreePassFourCycle]
+
 // NewThreePassFourCycle returns the estimator with edge-sampling
-// probability p ∈ (0,1].
+// probability p ∈ (0,1], built on a recycled state when there is one.
 func NewThreePassFourCycle(p float64, seed uint64) (*ThreePassFourCycle, error) {
-	sampler, err := sampling.NewFixedProb(p, seed)
-	if err != nil {
+	t := threePassFourCycles.Get()
+	if err := t.init(p, seed); err != nil {
 		return nil, err
 	}
-	t := &ThreePassFourCycle{p: p, sampler: sampler}
-	t.tracker.meter = &t.meter
 	return t, nil
 }
+
+// init makes t a fresh estimator, keeping the memory of its state.
+func (t *ThreePassFourCycle) init(p float64, seed uint64) error {
+	if err := t.sampler.Init(p, seed); err != nil {
+		return err
+	}
+	t.p = p
+	t.incident.reset()
+	t.tracker.init(&t.meter)
+	t.pass, t.items, t.m = 0, 0, 0
+	t.meter = space.Meter{}
+	return nil
+}
+
+// Recycle hands t's state to a later NewThreePassFourCycle, which reuses
+// its memory. Call it once t's run has completed and every result read
+// from t is taken; t must not be used afterwards.
+func (t *ThreePassFourCycle) Recycle() { threePassFourCycles.Put(t) }
 
 // Passes implements Algorithm.
 func (t *ThreePassFourCycle) Passes() int { return 3 }
@@ -237,9 +268,9 @@ func (t *ThreePassFourCycle) EndPass(p int) {
 		t.m = t.items
 		t.tracker.orient(t.incident.degree)
 		// The sample itself is dead weight after the pairs are formed; only
-		// the tracker state rides into the closure passes.
+		// the tracker state rides into the closure passes. Its memory stays
+		// with the state for the next init.
 		t.meter.Release(int64(t.sampler.Len()) * space.WordsPerEdge)
-		t.incident = adjacency{}
 	case 1:
 		t.tracker.invert()
 	}
@@ -283,8 +314,8 @@ func (t *ThreePassFourCycle) PairsTracked() int64 { return int64(len(t.tracker.p
 // discovery threshold, so the inverse-β scaling cannot blow up.
 type NearOptFourCycle struct {
 	p, q    float64
-	estS    *sampling.FixedProb
-	discS   *sampling.FixedProb
+	estS    sampling.FixedProb
+	discS   sampling.FixedProb
 	incEst  adjacency
 	incDisc adjacency
 	tracker pairTracker
@@ -297,11 +328,14 @@ type NearOptFourCycle struct {
 
 var _ Estimator = (*NearOptFourCycle)(nil)
 
+var nearOptFourCycles flat.Pool[NearOptFourCycle]
+
 // NewNearOptFourCycle returns the estimator with estimation rate p ∈ (0,1]
 // and discovery rate q. q = 0 selects the default q = min(1, √p): denser
 // than the estimation sample, so pairs with co-degree ≳ 1/q² — the ones
 // whose C(d,2) would dominate the variance — are discovered almost surely
-// and contribute exactly.
+// and contribute exactly. The estimator is built on a recycled state when
+// there is one.
 func NewNearOptFourCycle(p, q float64, seed uint64) (*NearOptFourCycle, error) {
 	if q == 0 {
 		q = math.Min(1, math.Sqrt(p))
@@ -309,18 +343,35 @@ func NewNearOptFourCycle(p, q float64, seed uint64) (*NearOptFourCycle, error) {
 	if !(q > 0 && q <= 1) {
 		return nil, fmt.Errorf("arbitrary: discovery rate %v outside (0,1]", q)
 	}
-	estS, err := sampling.NewFixedProb(p, seed^0x8f1b_bcdc_bfa5_3e0b)
-	if err != nil {
+	n := nearOptFourCycles.Get()
+	if err := n.init(p, q, seed); err != nil {
 		return nil, err
 	}
-	discS, err := sampling.NewFixedProb(q, seed^0x2b99_2ddf_a232_49d6)
-	if err != nil {
-		return nil, err
-	}
-	n := &NearOptFourCycle{p: p, q: q, estS: estS, discS: discS}
-	n.tracker.meter = &n.meter
 	return n, nil
 }
+
+// init makes n a fresh estimator for the validated discovery rate q,
+// keeping the memory of its state.
+func (n *NearOptFourCycle) init(p, q float64, seed uint64) error {
+	if err := n.estS.Init(p, seed^0x8f1b_bcdc_bfa5_3e0b); err != nil {
+		return err
+	}
+	if err := n.discS.Init(q, seed^0x2b99_2ddf_a232_49d6); err != nil {
+		return err
+	}
+	n.p, n.q = p, q
+	n.incEst.reset()
+	n.incDisc.reset()
+	n.tracker.init(&n.meter)
+	n.pass, n.items, n.m = 0, 0, 0
+	n.meter = space.Meter{}
+	return nil
+}
+
+// Recycle hands n's state to a later NewNearOptFourCycle, which reuses its
+// memory. Call it once n's run has completed and every result read from n
+// is taken; n must not be used afterwards.
+func (n *NearOptFourCycle) Recycle() { nearOptFourCycles.Put(n) }
 
 // Passes implements Algorithm.
 func (n *NearOptFourCycle) Passes() int { return 3 }
@@ -380,7 +431,6 @@ func (n *NearOptFourCycle) EndPass(p int) {
 		n.m = n.items
 		n.tracker.orient(func(v graph.V) int { return n.incDisc.degree(v) + n.incEst.degree(v) })
 		n.meter.Release(int64(n.discS.Len()+n.estS.Len()) * space.WordsPerEdge)
-		n.incEst, n.incDisc = adjacency{}, adjacency{}
 	case 1:
 		n.tracker.invert()
 	}

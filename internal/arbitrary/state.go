@@ -1,18 +1,23 @@
 package arbitrary
 
 import (
+	"slices"
+
 	"adjstream/internal/flat"
 	"adjstream/internal/graph"
 )
 
 // The estimators keep their state in flat arrays under int32 ids, looked up
 // through flat.Table, so a copy makes no allocation per pair or per vertex:
-// only its arrays and tables grow, by doubling.
+// only its arrays and tables grow, by doubling. Each estimator type recycles
+// its copies through a flat.Pool: its init empties every array and table in
+// place, keeping their memory, so a copy built on a spent state does not
+// grow again.
 
 // adjacency is the sampled-edge adjacency of pass one: each vertex's
 // neighbours in the order they were added, as a contiguous run of one
 // arena. A full run moves to a block twice its size at the arena's end and
-// leaves its old block behind; the arena lives for one pass, so nothing
+// leaves its old block behind; the arena is filled in one pass, so nothing
 // reuses the hole.
 type adjacency struct {
 	index flat.Table // vertex → slot in runs
@@ -34,6 +39,13 @@ func (a *adjacency) nbrs(v graph.V) []uint32 {
 	return a.arena[r.off : r.off+r.n]
 }
 
+// reset empties a, keeping its memory.
+func (a *adjacency) reset() {
+	a.index.Reset()
+	a.runs = a.runs[:0]
+	a.arena = a.arena[:0]
+}
+
 // degree returns the number of neighbours added to v.
 func (a *adjacency) degree(v graph.V) int { return len(a.nbrs(v)) }
 
@@ -47,9 +59,12 @@ func (a *adjacency) add(v, w graph.V) {
 	}
 	r := &a.runs[slot]
 	if r.n == r.cap {
+		// The new block's ids past the n copied ones are written before
+		// they are read, so extending the arena within its capacity
+		// leaves them unzeroed.
 		size := max(4, 2*r.cap)
 		off := int32(len(a.arena))
-		a.arena = append(a.arena, make([]uint32, size)...)
+		a.arena = slices.Grow(a.arena, int(size))[:off+size]
 		copy(a.arena[off:], a.arena[r.off:r.off+r.n])
 		r.off, r.cap = off, size
 	}
@@ -66,6 +81,13 @@ type csr[T any] struct {
 	vals []T
 }
 
+// reset empties c, keeping its memory.
+func (c *csr[T]) reset() {
+	c.at.Reset()
+	c.off = c.off[:0]
+	c.vals = c.vals[:0]
+}
+
 // row returns v's values, or nil if it has none.
 func (c *csr[T]) row(v graph.V) []T {
 	i, ok := c.at.Get(uint64(v))
@@ -75,13 +97,14 @@ func (c *csr[T]) row(v graph.V) []T {
 	return c.vals[c.off[i]:c.off[i+1]]
 }
 
-// build fills c from the n entries entry(0), …, entry(n−1), each a vertex
-// and a value for its row.
+// build fills c, emptied first, from the n entries entry(0), …,
+// entry(n−1), each a vertex and a value for its row.
 func (c *csr[T]) build(n int, entry func(i int) (graph.V, T)) {
 	// Count each row's entries into off[row+1], sum them into row starts,
 	// place each value at its row's cursor off[row], and shift the cursors,
 	// which end at the next row's start, back by one row.
-	c.off = append(c.off[:0], 0)
+	c.reset()
+	c.off = append(c.off, 0)
 	for i := 0; i < n; i++ {
 		v, _ := entry(i)
 		r, ok := c.at.Get(uint64(v))
@@ -95,7 +118,7 @@ func (c *csr[T]) build(n int, entry func(i int) (graph.V, T)) {
 	for r := 1; r < len(c.off); r++ {
 		c.off[r] += c.off[r-1]
 	}
-	c.vals = make([]T, n)
+	c.vals = slices.Grow(c.vals, n)[:n] // every entry is placed below
 	for i := 0; i < n; i++ {
 		v, val := entry(i)
 		r, _ := c.at.Get(uint64(v))

@@ -69,6 +69,14 @@ func (e *ExactStream) Finish(ctx context.Context) error {
 	return nil
 }
 
+// FinishFrom takes the count of done, a finished copy, as e's own instead
+// of counting again. done must have read the same stream with the same
+// cycle length: the stored graphs are then the same, since an exact copy
+// ignores its seed.
+func (e *ExactStream) FinishFrom(done *ExactStream) {
+	e.count, e.counted = done.count, done.counted
+}
+
 // Estimate returns the exact cycle count, counting it first unless Finish
 // already has.
 func (e *ExactStream) Estimate() float64 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"adjstream/internal/flat"
 	"adjstream/internal/graph"
 	"adjstream/internal/stream"
 )
@@ -70,7 +71,7 @@ type AdaptiveTwoPassTriangle struct {
 
 var _ stream.Estimator = (*AdaptiveTwoPassTriangle)(nil)
 
-var adaptiveTriangles pool[AdaptiveTwoPassTriangle]
+var adaptiveTriangles flat.Pool[AdaptiveTwoPassTriangle]
 
 // NewAdaptiveTwoPassTriangle validates cfg and returns the estimator, built
 // on a recycled state when there is one.
@@ -79,7 +80,7 @@ func NewAdaptiveTwoPassTriangle(cfg AdaptiveConfig) (*AdaptiveTwoPassTriangle, e
 	if err != nil {
 		return nil, err
 	}
-	a := adaptiveTriangles.get()
+	a := adaptiveTriangles.Get()
 	if err := a.init(cfg); err != nil {
 		return nil, err
 	}
@@ -96,7 +97,7 @@ func (a *AdaptiveTwoPassTriangle) init(cfg AdaptiveConfig) error {
 // Recycle hands a's state to a later NewAdaptiveTwoPassTriangle, which
 // reuses its memory. Call it once a's run has completed and every result
 // read from a is taken; a must not be used afterwards.
-func (a *AdaptiveTwoPassTriangle) Recycle() { adaptiveTriangles.put(a) }
+func (a *AdaptiveTwoPassTriangle) Recycle() { adaptiveTriangles.Put(a) }
 
 // Passes implements stream.Algorithm.
 func (a *AdaptiveTwoPassTriangle) Passes() int { return a.inner.Passes() }

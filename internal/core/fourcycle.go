@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"adjstream/internal/flat"
 	"adjstream/internal/graph"
 	"adjstream/internal/sampling"
 	"adjstream/internal/space"
@@ -78,7 +79,7 @@ type TwoPassFourCycle struct {
 
 var _ stream.Estimator = (*TwoPassFourCycle)(nil)
 
-var twoPassFourCycles pool[TwoPassFourCycle]
+var twoPassFourCycles flat.Pool[TwoPassFourCycle]
 
 // NewTwoPassFourCycle validates cfg and returns the estimator, built on a
 // recycled state when there is one.
@@ -86,7 +87,7 @@ func NewTwoPassFourCycle(cfg FourCycleConfig) (*TwoPassFourCycle, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	f := twoPassFourCycles.get()
+	f := twoPassFourCycles.Get()
 	if err := f.init(cfg); err != nil {
 		return nil, err
 	}
@@ -114,7 +115,7 @@ func (f *TwoPassFourCycle) init(cfg FourCycleConfig) error {
 // Recycle hands f's state to a later NewTwoPassFourCycle, which reuses its
 // memory. Call it once f's run has completed and every result read from f
 // is taken; f must not be used afterwards.
-func (f *TwoPassFourCycle) Recycle() { twoPassFourCycles.put(f) }
+func (f *TwoPassFourCycle) Recycle() { twoPassFourCycles.Put(f) }
 
 // Passes implements stream.Algorithm.
 func (f *TwoPassFourCycle) Passes() int { return 2 }

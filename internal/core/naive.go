@@ -1,6 +1,7 @@
 package core
 
 import (
+	"adjstream/internal/flat"
 	"adjstream/internal/graph"
 	"adjstream/internal/sampling"
 	"adjstream/internal/space"
@@ -31,7 +32,7 @@ type NaiveTwoPass struct {
 
 var _ stream.Estimator = (*NaiveTwoPass)(nil)
 
-var naiveTwoPasses pool[NaiveTwoPass]
+var naiveTwoPasses flat.Pool[NaiveTwoPass]
 
 // NewNaiveTwoPass validates cfg and returns the algorithm, built on a
 // recycled state when there is one. PairCap is ignored (only a counter is
@@ -40,7 +41,7 @@ func NewNaiveTwoPass(cfg TriangleConfig) (*NaiveTwoPass, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	n := naiveTwoPasses.get()
+	n := naiveTwoPasses.Get()
 	if err := n.init(cfg); err != nil {
 		return nil, err
 	}
@@ -78,7 +79,7 @@ func (n *NaiveTwoPass) evicted(e graph.Edge) {
 // Recycle hands n's state to a later NewNaiveTwoPass, which reuses its
 // memory. Call it once n's run has completed and every result read from n
 // is taken; n must not be used afterwards.
-func (n *NaiveTwoPass) Recycle() { naiveTwoPasses.put(n) }
+func (n *NaiveTwoPass) Recycle() { naiveTwoPasses.Put(n) }
 
 // Passes implements stream.Algorithm.
 func (n *NaiveTwoPass) Passes() int { return 2 }

@@ -26,7 +26,7 @@ import (
 //
 // Slabs and runs grow as entries are added — they are never sized from a
 // budget. Their init methods empty them in place and keep that memory, so
-// a copy built on spent state (see pool) does not grow again.
+// a copy built on spent state (see flat.Pool) does not grow again.
 
 // ref names one entry of a slab: its slot and the slot's generation when
 // the entry was added.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"adjstream/internal/flat"
 	"adjstream/internal/graph"
 	"adjstream/internal/sampling"
 	"adjstream/internal/space"
@@ -36,7 +37,7 @@ type ThreePassTriangle struct {
 
 var _ stream.Estimator = (*ThreePassTriangle)(nil)
 
-var threePassTriangles pool[ThreePassTriangle]
+var threePassTriangles flat.Pool[ThreePassTriangle]
 
 // NewThreePassTriangle validates cfg and returns the estimator, built on a
 // recycled state when there is one. PairCap is ignored: this variant
@@ -45,7 +46,7 @@ func NewThreePassTriangle(cfg TriangleConfig) (*ThreePassTriangle, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	t := threePassTriangles.get()
+	t := threePassTriangles.Get()
 	if err := t.init(cfg); err != nil {
 		return nil, err
 	}
@@ -81,7 +82,7 @@ func (t *ThreePassTriangle) evicted(e graph.Edge) {
 // Recycle hands t's state to a later NewThreePassTriangle, which reuses its
 // memory. Call it once t's run has completed and every result read from t
 // is taken; t must not be used afterwards.
-func (t *ThreePassTriangle) Recycle() { threePassTriangles.put(t) }
+func (t *ThreePassTriangle) Recycle() { threePassTriangles.Put(t) }
 
 // Passes implements stream.Algorithm.
 func (t *ThreePassTriangle) Passes() int { return 3 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"adjstream/internal/flat"
 	"adjstream/internal/graph"
 	"adjstream/internal/sampling"
 	"adjstream/internal/space"
@@ -78,7 +79,7 @@ type TwoPassTriangle struct {
 
 var _ stream.Estimator = (*TwoPassTriangle)(nil)
 
-var twoPassTriangles pool[TwoPassTriangle]
+var twoPassTriangles flat.Pool[TwoPassTriangle]
 
 // NewTwoPassTriangle validates cfg and returns the estimator, built on a
 // recycled state when there is one.
@@ -86,7 +87,7 @@ func NewTwoPassTriangle(cfg TriangleConfig) (*TwoPassTriangle, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	t := twoPassTriangles.get()
+	t := twoPassTriangles.Get()
 	if err := t.init(cfg); err != nil {
 		return nil, err
 	}
@@ -122,7 +123,7 @@ func (t *TwoPassTriangle) evicted(e graph.Edge) {
 // Recycle hands t's state to a later NewTwoPassTriangle, which reuses its
 // memory. Call it once t's run has completed and every result read from t
 // is taken; t must not be used afterwards.
-func (t *TwoPassTriangle) Recycle() { twoPassTriangles.put(t) }
+func (t *TwoPassTriangle) Recycle() { twoPassTriangles.Put(t) }
 
 // Passes implements stream.Algorithm.
 func (t *TwoPassTriangle) Passes() int { return 2 }

@@ -1,6 +1,8 @@
-// Package flat holds the one hash index the estimators key their state on:
-// Table, an open-addressing map from uint64 keys (a vertex id, or an edge
-// packed by graph-order endpoints into one word) to int32 slot ids.
+// Package flat holds the estimator-state kit shared by the core and
+// arbitrary-order estimators: Table, the one hash index they key their
+// state on, an open-addressing map from uint64 keys (a vertex id, or an
+// edge packed by graph-order endpoints into one word) to int32 slot ids;
+// and Pool, through which each estimator type recycles its spent copies.
 //
 // It is a power-of-two array of (key, value) slots probed linearly from a
 // Fibonacci hash of the key, in the manner of a streaming k-mer counter's

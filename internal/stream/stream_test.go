@@ -3,7 +3,6 @@ package stream
 import (
 	"bytes"
 	"math/rand/v2"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -45,70 +44,19 @@ func TestSortedStreamValid(t *testing.T) {
 
 // TestSortedFromRowsMatchesItemBuilder checks the canonical stream, whose
 // chunks Sorted writes straight from the graph's rows, against the row-form
-// builder FromGraph uses (graphItems, then buildChunks): item for item,
+// builder FromGraph used (graphItems, then buildChunks): item for item,
 // chunk for chunk, and the same Items, Lists and ListOrder. The graphs
 // cover the empty graph (built and zero-value), isolated vertices,
 // non-dense ids, ids at graph.MaxV, lists spanning and starting on chunk
 // boundaries, and a graph out of Delta.Apply.
 func TestSortedFromRowsMatchesItemBuilder(t *testing.T) {
-	withIsolated := graph.NewBuilder()
-	for _, v := range []graph.V{0, 7, 40, graph.MaxV} {
-		withIsolated.AddVertex(v)
-	}
-	for _, e := range []graph.Edge{{U: 3, V: 9}, {U: 9, V: 1 << 31}, {U: 3, V: graph.MaxV - 1}} {
-		_ = withIsolated.Add(e.U, e.V)
-	}
-	star := graph.NewBuilder() // the hub's list fills the second chunk: no run there
-	for v := graph.V(1); v <= 2500; v++ {
-		_ = star.Add(0, v*3)
-	}
-	aligned := graph.NewBuilder() // 3072 one-item lists: every chunk starts a list
-	for v := graph.V(0); v < 1536; v++ {
-		_ = aligned.Add(2*v, 2*v+1)
-	}
-	d := graph.NewDelta(randomGraph(120, 0.1, 9))
-	for _, e := range []graph.Edge{{U: 0, V: 500}, {U: graph.MaxV, V: 3}, {U: 600, V: 601}} {
-		if err := d.Add(e.U, e.V); err != nil {
-			t.Fatal(err)
-		}
-	}
-	graphs := map[string]*graph.Graph{
-		"empty":      graph.NewBuilder().Graph(),
-		"zero-value": {},
-		"isolated-only": func() *graph.Graph {
-			b := graph.NewBuilder()
-			b.AddVertex(5)
-			b.AddVertex(graph.MaxV)
-			return b.Graph()
-		}(),
-		"with-isolated": withIsolated.Graph(),
-		"maxv-edge":     graph.MustFromEdges([]graph.Edge{{U: graph.MaxV, V: graph.MaxV - 1}, {U: 0, V: graph.MaxV}}),
-		"star":          star.Graph(),
-		"aligned":       aligned.Graph(),
-		"dense-random":  randomGraph(300, 0.05, 4),
-		"applied":       d.Apply(),
-	}
-	for name, g := range graphs {
+	for name, g := range rowLayoutGraphs(t) {
 		t.Run(name, func(t *testing.T) {
-			got := Sorted(g)
 			items, lists, err := graphItems(g, g.Vertices())
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := newStream(items, lists, g.M())
-			if got.Len() != want.Len() || got.M() != want.M() || got.Lists() != want.Lists() {
-				t.Fatalf("Len/M/Lists = %d/%d/%d, want %d/%d/%d",
-					got.Len(), got.M(), got.Lists(), want.Len(), want.M(), want.Lists())
-			}
-			if !reflect.DeepEqual(got.Chunks(), want.Chunks()) {
-				t.Fatalf("chunks differ:\n got %v\nwant %v", got.Chunks(), want.Chunks())
-			}
-			if !reflect.DeepEqual(got.Items(), want.Items()) {
-				t.Fatal("Items differ")
-			}
-			if !reflect.DeepEqual(got.ListOrder(), want.ListOrder()) {
-				t.Fatalf("ListOrder = %v, want %v", got.ListOrder(), want.ListOrder())
-			}
+			sameStream(t, Sorted(g), newStream(items, lists, g.M()))
 		})
 	}
 }

@@ -1,11 +1,12 @@
 package adjstream
 
 // Copy recycling under concurrency. EstimateContext and
-// EstimateShardContext hand their copies' state back to the core
-// estimators' pools once the results are read, and later copies of any run
-// build on it. Mixed concurrent calls — full runs and shard ranges,
-// sequential and broadcast, of every recycled algorithm at several budgets
-// and sampler kinds, interleaved with canceled runs whose copies are
+// EstimateShardContext hand their copies' state back to the core and
+// arbitrary-order estimators' pools once the results are read, and later
+// copies of any run build on it. Mixed concurrent calls — full runs and
+// shard ranges, sequential and parallel, of every recycled algorithm in
+// both models at several budgets and sampler kinds, interleaved with runs
+// canceled before they start or while they run, whose copies in flight are
 // dropped — must each answer exactly what the same call answered before
 // any state was shared. Run it with -race as well.
 
@@ -43,6 +44,20 @@ func TestRecycledCopiesConcurrentCallsMatchSequential(t *testing.T) {
 			specs = append(specs, o)
 		}
 	}
+	arbFrom := len(specs)
+	for i, algo := range AlgorithmsForModel(ModelArbitrary) {
+		for j, o := range []Options{
+			{SampleProb: 0.4, Copies: 5},
+			{SampleProb: 0.25, Copies: 7, Parallel: true},
+			{SampleProb: 0.6, Copies: 2, Parallel: true},
+		} {
+			if algo == AlgoArbBuriol {
+				o.SampleSize, o.SampleProb = int(1000*o.SampleProb), 0
+			}
+			o.Model, o.Algorithm, o.Seed = ModelArbitrary, algo, uint64(100+10*i+j)
+			specs = append(specs, o)
+		}
+	}
 	streams := []*Stream{sorted, random}
 	type call struct {
 		opts   Options
@@ -53,7 +68,9 @@ func TestRecycledCopiesConcurrentCallsMatchSequential(t *testing.T) {
 	for i, o := range specs {
 		s := streams[i%2]
 		calls = append(calls, call{opts: o, s: s})
-		calls = append(calls, call{opts: o, s: s, lo: 1, hi: o.Copies})
+		if i < arbFrom { // arbitrary-order runs have no shards
+			calls = append(calls, call{opts: o, s: s, lo: 1, hi: o.Copies})
+		}
 	}
 	answer := func(c call) (string, error) {
 		if c.hi == 0 {
@@ -89,6 +106,19 @@ func TestRecycledCopiesConcurrentCallsMatchSequential(t *testing.T) {
 						cancel()
 						if _, err := EstimateContext(ctx, calls[i].s, calls[i].opts); !errors.Is(err, ErrCanceled) {
 							errs <- fmt.Errorf("canceled call %d: err = %v, want ErrCanceled", i, err)
+						}
+					}
+					if k%5 == (w+2)%5 {
+						// Canceled while it may be running: it answers either
+						// ErrCanceled or the sequential answer.
+						ctx, cancel := context.WithCancel(context.Background())
+						go cancel()
+						res, err := EstimateContext(ctx, calls[i].s, calls[i].opts)
+						res.DriverStats.PassSkewNS = 0
+						if err != nil && !errors.Is(err, ErrCanceled) {
+							errs <- fmt.Errorf("call %d canceled mid-run: err = %v, want ErrCanceled", i, err)
+						} else if err == nil && calls[i].hi == 0 && fmt.Sprintf("%+v", res) != want[i] {
+							errs <- fmt.Errorf("call %d canceled mid-run: completed with a different answer", i)
 						}
 					}
 					got, err := answer(calls[i])
