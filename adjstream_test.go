@@ -229,6 +229,26 @@ func TestBuilderReexport(t *testing.T) {
 	}
 }
 
+// TestBuilderIDsOutsideStreamRangeDoNotAlias: a path 1–2–3 plus an edge
+// from 2³²+1 has no triangle. Were the Builder to take 2³²+1, the sorted
+// stream's uint32 columns would read it as 1, list owner 1 twice and let
+// exact count one triangle; the Builder refuses it instead.
+func TestBuilderIDsOutsideStreamRangeDoNotAlias(t *testing.T) {
+	b := NewBuilder()
+	b.AddIfAbsent(1, 2)
+	b.AddIfAbsent(2, 3)
+	if b.AddIfAbsent(1<<32+1, 3) {
+		t.Error("AddIfAbsent accepted id 2³²+1")
+	}
+	res, err := Estimate(SortedStream(b.Graph()), Options{Algorithm: AlgoExact})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Estimate != 0 {
+		t.Errorf("exact counts %v triangles on a path, want 0", res.Estimate)
+	}
+}
+
 func TestAlgorithmsListBuildable(t *testing.T) {
 	g := gen.Complete(5)
 	s := SortedStream(g)

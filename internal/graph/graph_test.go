@@ -575,14 +575,17 @@ func TestCountCyclesAgreesQuick(t *testing.T) {
 }
 
 // TestLookupNegativeAndDenseIDs: the direct lookup for ids 0..n-1 must not
-// capture other graphs whose last name is n-1. AddVertex and AddIfAbsent
-// do not range-check ids, so a graph can hold a negative name.
+// capture other graphs whose last name is n-1, and a negative id can never
+// become a name: the Builder refuses it, so lookups of it find nothing.
 func TestLookupNegativeAndDenseIDs(t *testing.T) {
 	b := NewBuilder()
-	b.AddIfAbsent(-1, 1)
+	if b.AddIfAbsent(-1, 1) {
+		t.Error("AddIfAbsent(-1, 1) accepted a negative id")
+	}
+	b.AddIfAbsent(1, 2)
 	g := b.Graph()
-	if !g.HasVertex(-1) || !g.HasEdge(-1, 1) || g.Degree(1) != 1 || g.HasVertex(0) {
-		t.Errorf("names {-1, 1}: HasVertex(-1)=%v HasEdge(-1,1)=%v Degree(1)=%d HasVertex(0)=%v",
+	if g.HasVertex(-1) || g.HasEdge(-1, 1) || g.Degree(1) != 1 || g.HasVertex(0) {
+		t.Errorf("names {1, 2}: HasVertex(-1)=%v HasEdge(-1,1)=%v Degree(1)=%d HasVertex(0)=%v",
 			g.HasVertex(-1), g.HasEdge(-1, 1), g.Degree(1), g.HasVertex(0))
 	}
 	d := MustFromEdges([]Edge{{0, 1}, {1, 2}})
