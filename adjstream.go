@@ -44,7 +44,6 @@ import (
 	"adjstream/internal/arbitrary"
 	"adjstream/internal/baseline"
 	"adjstream/internal/core"
-	"adjstream/internal/flat"
 	"adjstream/internal/graph"
 	"adjstream/internal/stats"
 	"adjstream/internal/stream"
@@ -173,30 +172,7 @@ func WriteStreamFile(path string, s *Stream) error {
 // can be A/B-compared on the same input — Estimate with
 // Options.Model = ModelArbitrary uses exactly this conversion.
 func NewArbitraryStream(s *Stream) *ArbitraryStream {
-	// Each list is contiguous and names each edge once, so an item is its
-	// edge's first occurrence exactly when the neighbour's list has not
-	// started yet.
-	var started flat.Table // owners whose list has begun
-	edges := make([]Edge, 0, s.M())
-	prev := V(-1)
-	for _, c := range s.Chunks() {
-		for i, owner := range c.Owners {
-			if V(owner) != prev {
-				prev = V(owner)
-				started.Put(uint64(owner), 0)
-			}
-			if _, ok := started.Get(uint64(c.Nbrs[i])); !ok {
-				edges = append(edges, Edge{U: V(owner), V: V(c.Nbrs[i])}.Norm())
-			}
-		}
-	}
-	as, err := arbitrary.FromEdges(edges)
-	if err != nil {
-		// A validated adjacency-list stream has no self-loops and each edge
-		// exactly twice; first-occurrence filtering cannot produce duplicates.
-		panic("adjstream: invalid edges from validated stream: " + err.Error())
-	}
-	return as
+	return arbitrary.FromAdjacencyStream(s)
 }
 
 // ArbitraryStreamFromGraph returns g's edges in a uniformly random order

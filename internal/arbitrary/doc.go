@@ -18,8 +18,10 @@
 //
 // The package is deliberately self-contained and minimal: a Stream is just
 // an edge sequence that owns its storage (FromGraph shuffles
-// deterministically under a seed; FromEdges copies and validates; ReadEdges
-// parses the textual form genstream emits), an Algorithm is driven by Run —
+// deterministically under a seed; FromEdges copies and validates;
+// FromAdjacencyStream keeps each edge of an adjacency-list stream at its
+// first occurrence; ReadEdges parses the textual form genstream emits), an
+// Algorithm is driven by Run —
 // or RunContext under cancellation — replaying the stream once per pass in
 // identical order, and an Estimator adds the estimate and the
 // words-of-state figure charged through the same space meter the rest of
