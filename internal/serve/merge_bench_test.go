@@ -2,15 +2,17 @@ package serve
 
 import (
 	"math/rand/v2"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"adjstream"
 	"adjstream/internal/gen"
 )
 
-// mergeShapes are the repository benchmark's two merge shapes: the
-// ingest-churn graph with its 256-op threshold, and the ingest probe's cl2k
-// graph with 1024-op deltas (four 256-op batches).
+// mergeShapes are the repository benchmark's two graph shapes, with their
+// merge sizes: the ingest-churn graph with its 256-op threshold, and the
+// ingest probe's cl2k graph with 1024-op deltas (four 256-op batches).
 var mergeShapes = []struct {
 	name   string
 	n      int
@@ -103,6 +105,39 @@ func BenchmarkDatasetMerge(b *testing.B) {
 				}
 				b.StartTimer()
 				mergeSink = newDataset(sh.name, d.Apply(), 2)
+			}
+		})
+	}
+}
+
+// BenchmarkCatalogLoad times what a node's boot pays per graph file:
+// Catalog.LoadFile parsing the edge list, building the graph, and building
+// the dataset's sorted stream and fingerprint, at the repository
+// benchmark's two graph shapes, written as edge-list files the way it
+// writes them.
+func BenchmarkCatalogLoad(b *testing.B) {
+	for _, sh := range mergeShapes {
+		g, err := gen.ChungLu(sh.n, sh.gamma, sh.maxDeg, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		path := filepath.Join(b.TempDir(), sh.name+".edges")
+		f, err := os.Create(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := adjstream.WriteEdgeList(f, g); err != nil {
+			b.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := NewCatalog().LoadFile(sh.name, path); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
