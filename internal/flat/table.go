@@ -3,6 +3,8 @@
 // state on, an open-addressing map from uint64 keys (a vertex id, or an
 // edge packed by graph-order endpoints into one word) to int32 slot ids;
 // and Pool, through which each estimator type recycles its spent copies.
+// The graph layer uses Table too: graph.Builder maps vertex names to dense
+// indices and keeps its edge set on packed index pairs in two of them.
 //
 // It is a power-of-two array of (key, value) slots probed linearly from a
 // Fibonacci hash of the key, in the manner of a streaming k-mer counter's
