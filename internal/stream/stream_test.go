@@ -115,6 +115,14 @@ func TestValidateRejectsSingleAppearance(t *testing.T) {
 	if err := Validate(items); err == nil {
 		t.Fatal("expected missing-reverse violation")
 	}
+	// With several edges miscounted, the error names the first in stream
+	// order, whatever order the count map ranges in.
+	items = []Item{{1, 4}, {1, 2}, {1, 3}}
+	for range 20 {
+		if err := Validate(items); err == nil || err.Error() != "stream: edge {1,4} appears 1 times, want 2" {
+			t.Fatalf("err = %v, want edge {1,4} named", err)
+		}
+	}
 }
 
 func TestValidateRejectsSelfLoop(t *testing.T) {
