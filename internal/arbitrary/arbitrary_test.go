@@ -1,10 +1,13 @@
 package arbitrary
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -12,6 +15,7 @@ import (
 	"adjstream/internal/gen"
 	"adjstream/internal/graph"
 	"adjstream/internal/stats"
+	"adjstream/internal/stream"
 )
 
 func TestFromEdgesValidation(t *testing.T) {
@@ -56,6 +60,38 @@ func TestOutOfRangeIDsRejected(t *testing.T) {
 	}
 	if _, err := ReadEdges(strings.NewReader(fmt.Sprintf("%d 0\n", graph.MaxV))); err != nil {
 		t.Fatalf("ReadEdges at graph.MaxV: %v", err)
+	}
+}
+
+// TestFromAdjacencyStreamTrustsTheStreamPromise feeds the conversion an
+// "adjC" payload that repeats an item before the neighbour's list starts.
+// The columnar decoder checks structure only and accepts it; Validate
+// rejects its items; the conversion checks nothing and passes the repeat on
+// as a repeated edge, which FromEdges rejects.
+func TestFromAdjacencyStreamTrustsTheStreamPromise(t *testing.T) {
+	g := graph.MustFromEdges([]graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 2}})
+	var buf bytes.Buffer
+	if err := stream.WriteColumnar(&buf, stream.Sorted(g)); err != nil {
+		t.Fatal(err)
+	}
+	// One chunk holds the items (0,1) (0,2) (1,0) (1,2) (2,0) (2,1): after
+	// the 48-byte header and one 8-byte directory entry come the six owners,
+	// then the neighbours. Item 1 becomes a second (0,1).
+	data := buf.Bytes()
+	binary.LittleEndian.PutUint32(data[48+8+6*4+1*4:], 1)
+	s, err := stream.ReadColumnar(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("decoder rejected a structurally sound payload: %v", err)
+	}
+	if err := stream.Validate(s.Items()); err == nil || !strings.Contains(err.Error(), "duplicate item (0,1)") {
+		t.Fatalf("Validate: err = %v, want a duplicate item (0,1)", err)
+	}
+	got := FromAdjacencyStream(s).Edges()
+	if want := []graph.Edge{{U: 0, V: 1}, {U: 0, V: 1}, {U: 1, V: 2}}; !slices.Equal(got, want) {
+		t.Fatalf("edges = %v, want %v", got, want)
+	}
+	if _, err := FromEdges(got); err == nil {
+		t.Fatal("FromEdges accepted the repeated edge")
 	}
 }
 
