@@ -142,12 +142,13 @@ merge-smoke:
 # Fuzz smoke: `go test` only replays the seed corpora, so give every
 # decoder that reads bytes from disk or the network a short real fuzzing
 # run — text and edge-list streams, "adjC" columnar files, "adjM"
-# snapshot sets and arbitrary-order edge files — and the graph layer's
-# differential targets: the CSR kernels against the map-based oracles,
-# Delta staging and Apply against a rebuild, and the Builder against the
-# map-of-maps Builder it replaced. A crashing input is saved
-# under the package's testdata/fuzz/ for the regression suite.
-FUZZ_TARGETS_STREAM = FuzzReadText FuzzReadEdgeList FuzzColumnarDecode FuzzReadSnapshotSet
+# snapshot sets and arbitrary-order edge files — plus Validate against the
+# three-map check it replaced, and the graph layer's differential targets:
+# the CSR kernels against the map-based oracles, Delta staging and Apply
+# against a rebuild, and the Builder against the map-of-maps Builder it
+# replaced. A crashing input is saved under the package's testdata/fuzz/
+# for the regression suite.
+FUZZ_TARGETS_STREAM = FuzzReadText FuzzReadEdgeList FuzzColumnarDecode FuzzReadSnapshotSet FuzzValidateMatchesMapModel
 FUZZ_TARGETS_ARBITRARY = FuzzReadEdges
 FUZZ_TARGETS_GRAPH = FuzzCSRKernels FuzzDeltaApplyMatchesRebuild FuzzBuilderMatchesMapModel
 
