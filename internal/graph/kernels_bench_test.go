@@ -5,25 +5,20 @@ import (
 	"testing"
 )
 
-// benchScales are the three graph sizes the exact-kernel suite runs at.
-// Densities are chosen so the edge count roughly triples per step while the
-// co-degree structure stays non-trivial (avg degree 20–30).
+// benchScales are the graphs the exact-kernel suite runs on: three G(n,p)
+// sizes whose edge count roughly triples per step while the co-degree
+// structure stays non-trivial (avg degree 20–30), and a power-law graph of
+// the repository benchmark's cl2k shape (n = 2000, γ = 2.2, maximum
+// expected degree 400; m ≈ 3,000, maximum degree ≈ 300), whose hubs are
+// where ordering the work by degree pays.
 var benchScales = []struct {
 	name string
-	n    int
-	p    float64
+	mk   func() *Graph
 }{
-	{"small", 200, 0.10},
-	{"medium", 600, 0.05},
-	{"large", 1500, 0.02},
-}
-
-func benchGraph(sc struct {
-	name string
-	n    int
-	p    float64
-}) *Graph {
-	return gnp(sc.n, sc.p, 1, 0xbe47+uint64(sc.n))
+	{"small", func() *Graph { return gnp(200, 0.10, 1, 0xbe47+200) }},
+	{"medium", func() *Graph { return gnp(600, 0.05, 1, 0xbe47+600) }},
+	{"large", func() *Graph { return gnp(1500, 0.02, 1, 0xbe47+1500) }},
+	{"powerlaw", func() *Graph { return chungLu(2000, 1/1.2, 400, 0xbe47+2000) }},
 }
 
 // BenchmarkExactKernels pits the retired map-based implementations (kept as
@@ -63,7 +58,7 @@ func BenchmarkExactKernels(b *testing.B) {
 		},
 	}
 	for _, sc := range benchScales {
-		g := benchGraph(sc)
+		g := sc.mk()
 		g.csr()
 		for _, k := range kernels {
 			impls := []struct {
@@ -94,7 +89,7 @@ func BenchmarkExactKernels(b *testing.B) {
 // canonical edge ids.
 func BenchmarkCSRBuild(b *testing.B) {
 	for _, sc := range benchScales {
-		g := benchGraph(sc)
+		g := sc.mk()
 		b.Run(sc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
