@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 
+	"adjstream/internal/flat"
 	"adjstream/internal/graph"
 )
 
@@ -89,13 +90,13 @@ func (s *Stream) ListOrder() []graph.V {
 // Validate checks the adjacency-list promise on items: every vertex id is
 // in [0, graph.MaxV], owners are contiguous, no list repeats, no
 // self-loops, no duplicate items, and every edge appears exactly once in
-// each endpoint's list.
+// each endpoint's list. Two flat.Tables hold what it has seen: the owners
+// whose lists have opened, and per edge (packed by edgeKey once its ids
+// are known to be in range) a mask of the orientations met so far.
 func Validate(items []Item) error {
-	seenList := make(map[graph.V]bool)
-	count := make(map[graph.Edge]int)
-	seenItem := make(map[Item]bool, len(items))
+	var owners, edges flat.Table
 	var cur graph.V
-	inList := false
+	both := 0 // edges met in both orientations
 	for i, it := range items {
 		if !graph.ValidID(it.Owner) || !graph.ValidID(it.Nbr) {
 			return fmt.Errorf("stream: item %d (%d,%d) has a vertex id outside [0, %d]", i, it.Owner, it.Nbr, graph.MaxV)
@@ -103,35 +104,49 @@ func Validate(items []Item) error {
 		if it.Owner == it.Nbr {
 			return fmt.Errorf("stream: item %d is a self-loop at %d", i, it.Owner)
 		}
-		if !inList || it.Owner != cur {
-			if seenList[it.Owner] {
+		if i == 0 || it.Owner != cur {
+			n := owners.Len()
+			owners.Put(uint64(it.Owner), 0)
+			if owners.Len() == n {
 				return fmt.Errorf("stream: adjacency list of %d is not contiguous (reopened at item %d)", it.Owner, i)
 			}
-			seenList[it.Owner] = true
 			cur = it.Owner
-			inList = true
 		}
-		if seenItem[it] {
+		key, bit := edgeKey(it)
+		mask, _ := edges.Get(key)
+		if mask&bit != 0 {
 			return fmt.Errorf("stream: duplicate item (%d,%d) at index %d", it.Owner, it.Nbr, i)
 		}
-		seenItem[it] = true
-		count[graph.Edge{U: it.Owner, V: it.Nbr}.Norm()]++
-	}
-	for _, c := range count {
-		if c != 2 {
-			return firstMiscounted(items, count)
+		edges.Put(key, mask|bit)
+		if mask != 0 {
+			both++
 		}
+	}
+	if 2*both != len(items) {
+		return firstMiscounted(items, &edges)
 	}
 	return nil
 }
 
-// firstMiscounted reports the first edge in stream order whose count is not
-// 2, so the error text does not depend on map iteration order.
-func firstMiscounted(items []Item, count map[graph.Edge]int) error {
+// edgeKey packs the edge of it into one word, smaller endpoint high, and
+// returns the orientation bit of it: 1 when its owner is the smaller
+// endpoint, 2 when it is the larger.
+func edgeKey(it Item) (key uint64, bit int32) {
+	if it.Owner < it.Nbr {
+		return uint64(it.Owner)<<32 | uint64(it.Nbr), 1
+	}
+	return uint64(it.Nbr)<<32 | uint64(it.Owner), 2
+}
+
+// firstMiscounted reports the first edge in stream order met in one
+// orientation only, so the error names the same edge whatever the table's
+// slot order. Duplicates were refused before, so such an edge appeared
+// exactly once.
+func firstMiscounted(items []Item, edges *flat.Table) error {
 	for _, it := range items {
-		e := graph.Edge{U: it.Owner, V: it.Nbr}.Norm()
-		if c := count[e]; c != 2 {
-			return fmt.Errorf("stream: edge %v appears %d times, want 2", e, c)
+		key, _ := edgeKey(it)
+		if mask, _ := edges.Get(key); mask != 3 {
+			return fmt.Errorf("stream: edge %v appears 1 times, want 2", graph.Edge{U: it.Owner, V: it.Nbr}.Norm())
 		}
 	}
 	return nil
