@@ -67,13 +67,16 @@ bench-baseline: bench-json
 
 # Key benchmarks that gate performance regressions. Sub-benchmarks of these
 # are gated too; everything else is context-only in the benchdiff table.
-# BenchmarkEstimatorCopy runs one copy of each adjacency-list estimator on
-# the repository benchmark's cl2k graph; BenchmarkDatasetMerge times one
+# BenchmarkEstimatorCopy runs one copy of each estimator on the repository
+# benchmark's cl2k graph, and BenchmarkEstimateCopies nine copies of the
+# cold-estimate shapes through the copy pool (BenchmarkBroadcastK32 times
+# the pool on a trivial stand-in and may go once BenchmarkEstimateCopies
+# has a committed baseline); BenchmarkDatasetMerge times one
 # ingest-version merge at its two merge shapes, and BenchmarkCatalogLoad one
 # edge-list file load (parse, build, sorted stream, fingerprint) at the same
 # two shapes. Keep this list, benchdiff's default -keys and the CI
 # bench-gate job in step.
-BENCH_GATE_KEYS = BenchmarkBroadcastK32|BenchmarkExactKernels|BenchmarkEstimateColdVsCached|BenchmarkArbFourCycle|BenchmarkEstimatorCopy|BenchmarkDatasetMerge|BenchmarkCatalogLoad
+BENCH_GATE_KEYS = BenchmarkBroadcastK32|BenchmarkEstimateCopies|BenchmarkExactKernels|BenchmarkEstimateColdVsCached|BenchmarkArbFourCycle|BenchmarkEstimatorCopy|BenchmarkDatasetMerge|BenchmarkCatalogLoad
 BENCH_GATE_PKGS = ./internal/stream/ ./internal/graph/ ./internal/serve/ ./internal/arbitrary/ .
 
 # Perf regression gate: run only the key benchmarks briefly, convert to

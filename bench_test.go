@@ -14,6 +14,7 @@ package adjstream
 // either accuracy or space are caught by `go test -bench=.`.
 
 import (
+	"context"
 	"math"
 	"runtime"
 	"testing"
@@ -511,7 +512,7 @@ func BenchmarkEstimatorCopy(b *testing.B) {
 		})
 	}
 	as := NewArbitraryStream(s)
-	runArbitrary := func(b *testing.B, opts Options) func(seed uint64) (any, int64, int64) {
+	arbCopy := func(b *testing.B, opts Options) func(seed uint64) (any, int64, int64) {
 		return func(seed uint64) (any, int64, int64) {
 			e, err := opts.newArbitrary(seed, as.N())
 			if err != nil {
@@ -529,7 +530,7 @@ func BenchmarkEstimatorCopy(b *testing.B) {
 		}
 		arbitraryOpts = append(arbitraryOpts, opts)
 		b.Run(string(algo), func(b *testing.B) {
-			benchCopies(b, runArbitrary(b, opts), nil)
+			benchCopies(b, arbCopy(b, opts), nil)
 		})
 	}
 	b.Run("recycled", func(b *testing.B) {
@@ -541,10 +542,41 @@ func BenchmarkEstimatorCopy(b *testing.B) {
 		}
 		for _, opts := range arbitraryOpts {
 			b.Run(string(opts.Algorithm), func(b *testing.B) {
-				benchCopies(b, runArbitrary(b, opts), recycle)
+				benchCopies(b, arbCopy(b, opts), recycle)
 			})
 		}
 	})
+}
+
+// BenchmarkEstimateCopies runs 9 copies through EstimateContext with
+// Parallel set on BenchmarkEstimatorCopy's cl2k stream, at the shapes of
+// perfbench's cold-estimate workload: twopass-triangle at sample_size 512,
+// twopass-fourcycle at sample_prob 0.1 and arb-nearopt-fourcycle at
+// sample_prob 0.05. Each iteration is a fresh seed. It times the copy pool
+// on real estimators, the layer under a cold request, where
+// BenchmarkBroadcastK32 (internal/stream) times it on a trivial stand-in.
+func BenchmarkEstimateCopies(b *testing.B) {
+	g, err := gen.ChungLu(2000, 2.2, 400, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := SortedStream(g)
+	for _, opts := range []Options{
+		{Algorithm: AlgoTwoPassTriangle, SampleSize: 512},
+		{Algorithm: AlgoTwoPassFourCycle, SampleProb: 0.1},
+		{Model: ModelArbitrary, Algorithm: AlgoArbNearOptFourCycle, SampleProb: 0.05},
+	} {
+		opts.Copies, opts.Parallel = 9, true
+		b.Run(string(opts.Algorithm), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				opts.Seed = uint64(i) + 1
+				if _, err := EstimateContext(context.Background(), s, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // benchCopies runs one copy per iteration, seeded 1, 2, …, handing each to

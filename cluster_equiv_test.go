@@ -12,6 +12,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -99,6 +100,8 @@ func ask(t *testing.T, url, path, body string) (int, string) {
 }
 
 // estimateBody builds the request body exercising algo across 7 copies.
+// The arbitrary-order algorithms name their model; three of them take
+// sample_prob, arb-buriol takes sample_size.
 func estimateBody(algo adjstream.Algorithm) string {
 	req := map[string]any{
 		"graph":     "er120",
@@ -107,7 +110,14 @@ func estimateBody(algo adjstream.Algorithm) string {
 		"parallel":  true,
 		"seed":      11,
 	}
-	if algo != adjstream.AlgoExact {
+	switch {
+	case algo == adjstream.AlgoArbBuriol:
+		req["model"] = string(adjstream.ModelArbitrary)
+		req["sample_size"] = 64
+	case slices.Contains(adjstream.AlgorithmsForModel(adjstream.ModelArbitrary), algo):
+		req["model"] = string(adjstream.ModelArbitrary)
+		req["sample_prob"] = 0.3
+	case algo != adjstream.AlgoExact:
 		req["sample_size"] = 64
 		req["pair_cap"] = 512
 	}
@@ -120,7 +130,7 @@ func TestClusterByteIdenticalAllAlgorithms(t *testing.T) {
 	defer single.Close()
 	for _, n := range []int{1, 3} {
 		proxy, _ := newProxy(t, n, serve.Config{CacheEntries: -1}, cluster.Config{})
-		for _, algo := range adjstream.Algorithms() {
+		for _, algo := range append(adjstream.Algorithms(), adjstream.AlgorithmsForModel(adjstream.ModelArbitrary)...) {
 			t.Run(fmt.Sprintf("%d-replica/%s", n, algo), func(t *testing.T) {
 				body := estimateBody(algo)
 				wantStatus, want := ask(t, single.URL, "/v1/estimate", body)

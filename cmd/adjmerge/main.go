@@ -6,7 +6,8 @@
 // The files together must cover copies 0..k-1 exactly once; adjmerge
 // verifies the coverage, merges the snapshots, and prints the same summary
 // lines cyclecount prints for the unsplit run — bit-identical estimate and
-// summed space — so the two outputs diff clean.
+// summed space, and the model line of an arbitrary-order run — so the two
+// outputs diff clean.
 //
 // Usage:
 //
@@ -23,6 +24,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"adjstream"
 )
@@ -83,6 +85,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	fmt.Fprintf(stdout, "algorithm:   %s\n", algo)
+	if slices.Contains(adjstream.AlgorithmsForModel(adjstream.ModelArbitrary), algo) {
+		fmt.Fprintf(stdout, "model:       %s\n", adjstream.ModelArbitrary)
+	}
 	fmt.Fprintf(stdout, "edges (m):   %d\n", res.M)
 	fmt.Fprintf(stdout, "passes:      %d\n", res.Passes)
 	fmt.Fprintf(stdout, "copies:      %d\n", res.Copies)

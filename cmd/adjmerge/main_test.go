@@ -102,3 +102,49 @@ func TestMergeUsageAndIOErrors(t *testing.T) {
 		t.Errorf("bogus file: exit %d, want 1", code)
 	}
 }
+
+// TestMergeArbitraryModel merges the shards of an arbitrary-order run: the
+// summary names the model, as cyclecount's unsplit output does.
+func TestMergeArbitraryModel(t *testing.T) {
+	g, err := gen.ErdosRenyi(60, 0.15, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := stream.Random(g, 4)
+	opts := adjstream.Options{
+		Model:      adjstream.ModelArbitrary,
+		Algorithm:  adjstream.AlgoArbNearOptFourCycle,
+		SampleProb: 0.5,
+		Copies:     3,
+		Seed:       13,
+	}
+	want, err := adjstream.Estimate(s, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var paths []string
+	for i, b := range [][2]int{{0, 1}, {1, 3}} {
+		snaps, err := adjstream.EstimateShardContext(context.Background(), s, opts, b[0], b[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, filepath.Join(dir, fmt.Sprintf("shard%d.snap", i)))
+		if err := adjstream.WriteSnapshotFile(paths[i], b[0], snaps); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run(paths, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
+	}
+	for _, line := range []string{
+		"algorithm:   arb-nearopt-fourcycle\nmodel:       arbitrary\n",
+		fmt.Sprintf("estimate:    %.2f\n", want.Estimate),
+		fmt.Sprintf("space:       %d words\n", want.SpaceWords),
+	} {
+		if !strings.Contains(stdout.String(), line) {
+			t.Errorf("output lacks %q:\n%s", line, stdout.String())
+		}
+	}
+}

@@ -57,7 +57,7 @@ type Report struct {
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
-const defaultKeys = "BenchmarkBroadcastK32,BenchmarkExactKernels,BenchmarkEstimateColdVsCached,BenchmarkArbFourCycle,BenchmarkEstimatorCopy,BenchmarkDatasetMerge,BenchmarkCatalogLoad"
+const defaultKeys = "BenchmarkBroadcastK32,BenchmarkEstimateCopies,BenchmarkExactKernels,BenchmarkEstimateColdVsCached,BenchmarkArbFourCycle,BenchmarkEstimatorCopy,BenchmarkDatasetMerge,BenchmarkCatalogLoad"
 
 // stripProcs removes Go's -<GOMAXPROCS> suffix (BenchmarkFoo-8 → BenchmarkFoo)
 // so reports taken on machines with different core counts line up.

@@ -13,15 +13,16 @@
 //
 // The input is an edge-list file ("u v" per line) streamed in the chosen
 // order, or — with -stream — a ready-made adjacency-list stream file.
-// Vertex ids must lie in [0, 2^32-1]. -parallel runs the copies on the
-// broadcast driver, which reads the stream once per pass for all copies;
-// the result is identical to the sequential run.
+// Vertex ids must lie in [0, 2^32-1]. -parallel runs up to GOMAXPROCS
+// copies at once, each reading the stream itself; the result is identical
+// to the sequential run.
 //
 // With -model arbitrary the run uses the arbitrary-order edge streaming
 // model (see adjstream.ModelArbitrary): an edge-list input is replayed in
 // file order (as genstream -format arbstream emits), and a -stream input is
 // converted by first edge occurrence. The -algo roster is then the arb-*
-// family (adjstream.AlgorithmsForModel).
+// family (adjstream.AlgorithmsForModel). -copy-range and -snapshot split a
+// run of either model.
 //
 // Exit codes: 0 success, 1 runtime failure, 2 usage or invalid options
 // (adjstream.ErrInvalidOptions / ErrUnknownAlgorithm), 3 run canceled by
@@ -108,7 +109,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	pairCap := fs.Int("paircap", 0, "candidate pair/wedge reservoir cap (0 = default)")
 	cycleLen := fs.Int("len", 3, "cycle length for -algo exact")
 	copies := fs.Int("copies", 1, "independent copies, median-combined")
-	parallel := fs.Bool("parallel", false, "run copies concurrently on the broadcast driver (one stream read per pass shared by all copies)")
+	parallel := fs.Bool("parallel", false, "run up to GOMAXPROCS copies at once")
 	copyRange := fs.String("copy-range", "", "run only copies [lo:hi) of the -copies run (requires -snapshot)")
 	snapshot := fs.String("snapshot", "", "write per-copy snapshots to this file instead of printing an estimate; merge shards with adjmerge")
 	seed := fs.Uint64("seed", 1, "seed for all randomness")
@@ -144,15 +145,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	arbitraryModel := adjstream.Model(*model) == adjstream.ModelArbitrary
-	if arbitraryModel {
-		if *compare {
-			fmt.Fprintln(stderr, "cyclecount: -compare runs the adjacency-list roster; drop -model arbitrary")
-			return 2
-		}
-		if *snapshot != "" || *copyRange != "" {
-			fmt.Fprintln(stderr, "cyclecount: snapshots are adjacency-list only (arbitrary-order runs have no snapshot transport)")
-			return 2
-		}
+	if arbitraryModel && *compare {
+		fmt.Fprintln(stderr, "cyclecount: -compare runs the adjacency-list roster; drop -model arbitrary")
+		return 2
 	}
 	// An edge-list input under the arbitrary model IS the stream: replay it
 	// in file order rather than routing it through an adjacency-list order.
@@ -205,7 +200,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *snapshot != "" {
-		return runShard(ctx, s, opts, *copyRange, *snapshot, stdout, stderr)
+		return runShard(ctx, s, as, opts, *copyRange, *snapshot, stdout, stderr)
 	}
 	if *copyRange != "" {
 		fmt.Fprintln(stderr, "cyclecount: -copy-range requires -snapshot (a shard has no median to print)")
@@ -233,8 +228,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "estimate:    %.2f\n", res.Estimate)
 	if res.Driver != "" {
 		fmt.Fprintf(stdout, "driver:      %s\n", res.Driver)
-		fmt.Fprintf(stdout, "stream reads: %d items (replay would read %d)\n",
-			res.DriverStats.StreamItemsRead, res.DriverStats.ItemsDelivered)
 	}
 	return 0
 }
@@ -280,15 +273,21 @@ func parseCopyRange(spec string, copies int) (lo, hi int, err error) {
 	return lo, hi, nil
 }
 
-// runShard executes the copy range of a split run and writes the snapshot
-// set; adjmerge combines shard files into the single-run output.
-func runShard(ctx context.Context, s *adjstream.Stream, opts adjstream.Options, copyRange, path string, stdout, stderr io.Writer) int {
+// runShard executes the copy range of a split run over s, or over as when
+// it is set (an arbitrary-model edge list in file order), and writes the
+// snapshot set; adjmerge combines shard files into the single-run output.
+func runShard(ctx context.Context, s *adjstream.Stream, as *adjstream.ArbitraryStream, opts adjstream.Options, copyRange, path string, stdout, stderr io.Writer) int {
 	lo, hi, err := parseCopyRange(copyRange, opts.Copies)
 	if err != nil {
 		fmt.Fprintln(stderr, "cyclecount:", err)
 		return 2
 	}
-	snaps, err := adjstream.EstimateShardContext(ctx, s, opts, lo, hi)
+	var snaps []adjstream.CopySnapshot
+	if as != nil {
+		snaps, err = adjstream.EstimateArbitraryShardContext(ctx, as, opts, lo, hi)
+	} else {
+		snaps, err = adjstream.EstimateShardContext(ctx, s, opts, lo, hi)
+	}
 	if err != nil {
 		fmt.Fprintln(stderr, "cyclecount:", err)
 		return exitCode(err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -149,8 +150,7 @@ func TestRunArbitraryModelRejections(t *testing.T) {
 	cases := [][]string{
 		{"-model", "bogus", "-algo", "exact", path},
 		{"-model", "arbitrary", "-compare", path},
-		{"-model", "arbitrary", "-algo", "arb-twopass-wedge", "-prob", "1", "-snapshot", "s.snap", path},
-		{"-model", "arbitrary", "-algo", "arb-twopass-wedge", "-prob", "1", "-copy-range", "0:1", path},
+		{"-model", "arbitrary", "-algo", "arb-twopass-wedge", "-prob", "1", "-copy-range", "0:1", path}, // no -snapshot
 		{"-model", "arbitrary", "-algo", "arb-twopass-wedge", "-prob", "1", "-order", "random", path},
 		{"-model", "arbitrary", "-algo", "exact", path},             // AL algorithm under arbitrary
 		{"-model", "arbitrary", "-algo", "arb-twopass-wedge", path}, // missing rate
@@ -163,6 +163,60 @@ func TestRunArbitraryModelRejections(t *testing.T) {
 		}
 	}
 }
+
+// TestRunArbitraryModelSnapshot splits an arbitrary-model run of an
+// edge-list file (replayed in file order) and of a -stream input into
+// -copy-range shards written with -snapshot; the merged shards give the
+// unsplit run's summary.
+func TestRunArbitraryModelSnapshot(t *testing.T) {
+	path := writeFixture(t)
+	dir := t.TempDir()
+	spath := filepath.Join(dir, "g.stream")
+	f, err := os.Create(spath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := adjstream.WriteStream(f, adjstream.SortedStream(gen.Complete(6))); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	for _, in := range [][]string{{path}, {"-stream", spath}} {
+		base := append([]string{"-model", "arbitrary", "-algo", "arb-nearopt-fourcycle", "-prob", "0.7", "-copies", "4", "-parallel", "-seed", "3"}, in[:len(in)-1]...)
+		var out, errw bytes.Buffer
+		if code := run(append(base, in[len(in)-1]), &out, &errw); code != 0 {
+			t.Fatalf("%v: unsplit exit %d: %s", in, code, errw.String())
+		}
+		var all []adjstream.CopySnapshot
+		for i, r := range []string{"0:1", "1:4"} {
+			snap := filepath.Join(dir, "shard"+string(rune('a'+i))+".snap")
+			var sout bytes.Buffer
+			args := append(append([]string{}, base...), "-copy-range", r, "-snapshot", snap, in[len(in)-1])
+			if code := run(args, &sout, &errw); code != 0 {
+				t.Fatalf("%v: shard %s exit %d: %s", in, r, code, errw.String())
+			}
+			_, snaps, err := adjstream.ReadSnapshotFile(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			all = append(all, snaps...)
+		}
+		res, err := adjstream.MergeSnapshots(all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{
+			"edges (m):   15", "passes:      3", "copies:      4",
+			"space:       " + itoa(res.SpaceWords) + " words",
+			"estimate:    " + strconv.FormatFloat(res.Estimate, 'f', 2, 64),
+		} {
+			if !strings.Contains(out.String(), want) {
+				t.Fatalf("%v: unsplit output lacks the merged %q:\n%s", in, want, out.String())
+			}
+		}
+	}
+}
+
+func itoa(v int64) string { return strconv.FormatInt(v, 10) }
 
 func TestRunCompare(t *testing.T) {
 	path := writeFixture(t)

@@ -7,10 +7,10 @@
 // Usage:
 //
 //	experiments [-seed N] [-id T1.R6|F1|M1|A3|all] [-format markdown|csv] [-out FILE]
-//	            [-driverstats] [-journal FILE] [-listen ADDR]
+//	            [-journal FILE] [-listen ADDR]
 //
-// Multi-copy runs always use the broadcast driver (one stream read per
-// pass shared by all copies); -driverstats appends its counter table.
+// Multi-copy runs execute on the library's bounded copy pool, up to
+// GOMAXPROCS copies at once; the tables are the same on any worker count.
 //
 // -journal appends a JSONL run journal (provenance header, one record per
 // grid point, per-experiment telemetry snapshot) that cmd/runjournal can
@@ -77,7 +77,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	format := fs.String("format", "markdown", "output format: markdown or csv")
 	out := fs.String("out", "", "output file (default stdout)")
 	list := fs.Bool("list", false, "list experiment ids and exit")
-	driverStats := fs.Bool("driverstats", false, "append the broadcast driver's counter table (stream reads, deliveries, chunks walked) after the experiments")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	journal := fs.String("journal", "", "append a JSONL run journal to this file (enables telemetry)")
@@ -132,9 +131,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		defer f.Close()
 		w = f
-	}
-	if *driverStats {
-		tables = append(tables, exp.DriverReport())
 	}
 	for _, t := range tables {
 		switch *format {

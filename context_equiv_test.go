@@ -164,6 +164,41 @@ func TestEstimateContextDeadlineMidRun(t *testing.T) {
 	waitGoroutines(t, base)
 }
 
+// TestEstimateContextCancelCauseKeepsContextError cancels runs of both
+// models under a context.WithCancelCause parent with a custom cause, before
+// the run and once it is under way. Each answer must wrap ErrCanceled and
+// the context's own error, context.Canceled, as ErrCanceled's contract
+// says; the cause is the caller's business.
+func TestEstimateContextCancelCauseKeepsContextError(t *testing.T) {
+	g, err := gen.ChungLu(400, 2.2, 80, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := RandomStream(g, 2)
+	cause := errors.New("client went away")
+	for _, opts := range []Options{
+		{Algorithm: AlgoTwoPassTriangle, SampleSize: 256, Copies: 9, Parallel: true, Seed: 5},
+		{Model: ModelArbitrary, Algorithm: AlgoArbNearOptFourCycle, SampleProb: 0.2, Copies: 9, Parallel: true, Seed: 5},
+	} {
+		for _, after := range []time.Duration{0, time.Millisecond} {
+			ctx, cancel := context.WithCancelCause(context.Background())
+			if after == 0 {
+				cancel(cause)
+			} else {
+				time.AfterFunc(after, func() { cancel(cause) })
+			}
+			_, err := EstimateContext(ctx, s, opts)
+			cancel(nil)
+			if err == nil {
+				continue // the run finished before the cancel fired
+			}
+			if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+				t.Errorf("model %q, cancel after %v: err = %v, want ErrCanceled wrapping context.Canceled", opts.Model, after, err)
+			}
+		}
+	}
+}
+
 // TestDistinguishDriverPathEquivalence checks the decision problem's
 // routing: it honors Copies/Parallel/Driver, and the broadcast and
 // sequential median runs agree bit-for-bit.

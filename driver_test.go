@@ -1,10 +1,10 @@
 package adjstream
 
-// Equality tests for the broadcast driver: every estimator type in
-// internal/core and internal/baseline, driven with fixed seeds, must
-// produce estimates and space counts identical to sequential stream.Run.
-// This is the contract that lets the exp harness and the public API run
-// copies in parallel without perturbing a single reported number.
+// Equality tests for the copy pool: every estimator type in internal/core
+// and internal/baseline, driven with fixed seeds, must produce estimates and
+// space counts identical to sequential stream.Run. This is the contract
+// that lets the exp harness and the public API run copies in parallel
+// without perturbing a single reported number.
 
 import (
 	"context"
@@ -97,17 +97,18 @@ func TestBroadcastMatchesSequentialAllEstimators(t *testing.T) {
 					t.Errorf("copy %d: broadcast space %d != sequential %d", i, got, want)
 				}
 			}
-			if want := int64(st.Passes) * int64(s.Len()); st.StreamItemsRead != want {
-				t.Errorf("StreamItemsRead = %d, want %d (one read per pass)", st.StreamItemsRead, want)
+			// Every copy reads the stream itself, once per pass.
+			if want := int64(k*st.Passes) * int64(s.Len()); st.StreamItemsRead != want || st.Copies != k {
+				t.Errorf("StreamItemsRead = %d over %d copies, want %d over %d (each copy's own passes)", st.StreamItemsRead, st.Copies, want, k)
 			}
 		})
 	}
 }
 
 // TestEstimateDriversAgree checks the public API: sequential and parallel
-// broadcast runs of the same Options produce identical results whether the
-// driver is named or left empty, the broadcast result carries meaningful
-// driver counters, and the retired driver names are rejected.
+// runs of the same Options produce identical results whether the driver is
+// named or left empty, the parallel result names the broadcast driver and
+// carries the pool's counters, and the retired driver names are rejected.
 func TestEstimateDriversAgree(t *testing.T) {
 	g, err := gen.ErdosRenyi(100, 0.12, 3)
 	if err != nil {
@@ -139,12 +140,12 @@ func TestEstimateDriversAgree(t *testing.T) {
 		if res.Driver != DriverBroadcast || sequential.Driver != "" {
 			t.Fatalf("driver %q: Result.Driver = %q, sequential %q", driver, res.Driver, sequential.Driver)
 		}
-		// 9 two-pass copies: broadcast reads 2·2m items and delivers
-		// 9·2·2m, what replaying the stream per copy would read.
+		// 9 two-pass copies, each reading the stream itself: 9·2·2m reads,
+		// every one delivered.
 		st := res.DriverStats
-		if want := int64(2 * s.Len()); st.StreamItemsRead != want || st.ItemsDelivered != 9*want {
-			t.Fatalf("driver %q: reads %d, delivered %d; want %d and %d",
-				driver, st.StreamItemsRead, st.ItemsDelivered, want, 9*want)
+		if want := int64(9 * 2 * s.Len()); st.StreamItemsRead != want || st.ItemsDelivered != want || st.Copies != 9 {
+			t.Fatalf("driver %q: reads %d, delivered %d over %d copies; want %d each over 9",
+				driver, st.StreamItemsRead, st.ItemsDelivered, st.Copies, want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package adjstream
 
 import (
+	"context"
 	"errors"
 	"fmt"
 )
@@ -24,10 +25,14 @@ var (
 	ErrCanceled = errors.New("adjstream: run canceled")
 )
 
-// canceled wraps a context error in ErrCanceled; both sentinels (ErrCanceled
-// and cause — context.Canceled or context.DeadlineExceeded) match errors.Is.
-func canceled(cause error) error {
-	return fmt.Errorf("%w: %w", ErrCanceled, cause)
+// canceled wraps the bare context error a canceled run returns in
+// ErrCanceled, so both match errors.Is. Every other error passes through:
+// the facade's own errors already wrap one of its sentinels.
+func canceled(err error) error {
+	if err == context.Canceled || err == context.DeadlineExceeded {
+		return fmt.Errorf("%w: %w", ErrCanceled, err)
+	}
+	return err
 }
 
 // Validate checks the structural validity of o: the algorithm and driver

@@ -174,31 +174,34 @@ type Estimator interface {
 
 // Run replays s once per pass of a, in identical order.
 func Run(s *Stream, a Algorithm) {
-	for p := 0; p < a.Passes(); p++ {
-		a.StartPass(p)
-		for _, e := range s.edges {
-			a.Edge(e.U, e.V)
-		}
-		a.EndPass(p)
-	}
+	_ = RunContext(context.Background(), s, a) // cannot fail: the context never fires
 }
 
-// RunContext is Run with cancellation, polled every 1024 edges. A cancelled
-// run returns ctx's cause and leaves a in an unspecified mid-pass state.
+// RunContext is Run with cancellation. ctx is polled where
+// stream.RunContext polls it: before every pass and before every
+// stream.DefaultChunkItems edges after a pass's first. A canceled run
+// returns ctx.Err() and leaves a in an unspecified mid-pass state; a run
+// that has finished its last pass returns nil.
 func RunContext(ctx context.Context, s *Stream, a Algorithm) error {
+	const chunk = stream.DefaultChunkItems
 	for p := 0; p < a.Passes(); p++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		a.StartPass(p)
-		for i, e := range s.edges {
-			if i%1024 == 0 {
-				if err := context.Cause(ctx); err != nil {
+		for lo := 0; lo < len(s.edges); lo += chunk {
+			if lo > 0 {
+				if err := ctx.Err(); err != nil {
 					return err
 				}
 			}
-			a.Edge(e.U, e.V)
+			for _, e := range s.edges[lo:min(lo+chunk, len(s.edges))] {
+				a.Edge(e.U, e.V)
+			}
 		}
 		a.EndPass(p)
 	}
-	return context.Cause(ctx)
+	return nil
 }
 
 // TwoPassWedge is the const-pass arbitrary-order estimator family behind
@@ -442,13 +445,18 @@ func (b *BuriolSampler) EndPass(p int) { b.m = b.pos }
 
 // Estimate returns successes·m·(n-2)/R.
 func (b *BuriolSampler) Estimate() float64 {
-	succ := 0
+	return float64(b.closed()) * float64(b.m) * float64(b.n-2) / float64(len(b.inst))
+}
+
+// closed returns the number of instances whose triangle closed.
+func (b *BuriolSampler) closed() int64 {
+	var succ int64
 	for i := range b.inst {
 		if b.inst[i].closed {
 			succ++
 		}
 	}
-	return float64(succ) * float64(b.m) * float64(b.n-2) / float64(len(b.inst))
+	return succ
 }
 
 // SpaceWords implements Estimator.

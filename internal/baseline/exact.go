@@ -69,12 +69,12 @@ func (e *ExactStream) Finish(ctx context.Context) error {
 	return nil
 }
 
-// FinishFrom takes the count of done, a finished copy, as e's own instead
-// of counting again. done must have read the same stream with the same
-// cycle length: the stored graphs are then the same, since an exact copy
-// ignores its seed.
-func (e *ExactStream) FinishFrom(done *ExactStream) {
-	e.count, e.counted = done.count, done.counted
+// FinishWith takes count, the cycle count a finished copy found, as e's own
+// instead of counting again. That copy must have read the same stream with
+// the same cycle length: the stored graphs are then the same, since an
+// exact copy ignores its seed.
+func (e *ExactStream) FinishWith(count float64) {
+	e.count, e.counted = count, true
 }
 
 // Estimate returns the exact cycle count, counting it first unless Finish

@@ -1,10 +1,6 @@
 package baseline
 
-import (
-	"encoding/binary"
-
-	"adjstream/internal/stream"
-)
+import "adjstream/internal/stream"
 
 // Snapshots of the baseline estimators a facade algorithm selects (see
 // internal/stream/state.go for the contract and internal/core/state.go for
@@ -16,24 +12,17 @@ import (
 //	wedge-sampler     closed wedges, wedges formed
 //	exact             cycle length
 
-// appendU64 is the Extra field codec.
-func appendU64(b []byte, v uint64) []byte {
-	return binary.LittleEndian.AppendUint64(b, v)
-}
-
 // Snapshot implements stream.Snapshotter.
 func (o *OnePassTriangle) Snapshot() []byte {
-	return stream.SnapshotOf("onepass-triangle", o, o.M(), appendU64(nil, uint64(o.found)))
+	return stream.SnapshotOf("onepass-triangle", o, o.M(), o.found)
 }
 
 // Snapshot implements stream.Snapshotter.
 func (w *WedgeSampler) Snapshot() []byte {
-	extra := appendU64(nil, uint64(w.closed))
-	extra = appendU64(extra, uint64(w.formed))
-	return stream.SnapshotOf("wedge-sampler", w, w.M(), extra)
+	return stream.SnapshotOf("wedge-sampler", w, w.M(), w.closed, w.formed)
 }
 
 // Snapshot implements stream.Snapshotter.
 func (e *ExactStream) Snapshot() []byte {
-	return stream.SnapshotOf("exact", e, e.M(), appendU64(nil, uint64(e.cycleLen)))
+	return stream.SnapshotOf("exact", e, e.M(), int64(e.cycleLen))
 }

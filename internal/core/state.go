@@ -1,10 +1,6 @@
 package core
 
-import (
-	"encoding/binary"
-
-	"adjstream/internal/stream"
-)
+import "adjstream/internal/stream"
 
 // Snapshots of the core estimators (stream.Snapshotter; see
 // internal/stream/state.go for the contract). A snapshot is a completed-run
@@ -20,35 +16,27 @@ import (
 //	adaptive-triangle  final sample capacity
 //	twopass-fourcycle  wedges formed, wedges kept, Σ T_w
 
-// appendI64 is the Extra field codec.
-func appendI64(b []byte, v int64) []byte {
-	return binary.LittleEndian.AppendUint64(b, uint64(v))
-}
-
 // Snapshot implements stream.Snapshotter.
 func (t *TwoPassTriangle) Snapshot() []byte {
-	return stream.SnapshotOf("twopass-triangle", t, t.M(), appendI64(nil, t.PairsDiscovered()))
+	return stream.SnapshotOf("twopass-triangle", t, t.M(), t.PairsDiscovered())
 }
 
 // Snapshot implements stream.Snapshotter.
 func (t *ThreePassTriangle) Snapshot() []byte {
-	return stream.SnapshotOf("threepass-triangle", t, t.M(), appendI64(nil, int64(t.PairsCollected())))
+	return stream.SnapshotOf("threepass-triangle", t, t.M(), int64(t.PairsCollected()))
 }
 
 // Snapshot implements stream.Snapshotter.
 func (n *NaiveTwoPass) Snapshot() []byte {
-	return stream.SnapshotOf("naive-twopass", n, n.M(), appendI64(nil, n.found))
+	return stream.SnapshotOf("naive-twopass", n, n.M(), n.found)
 }
 
 // Snapshot implements stream.Snapshotter.
 func (a *AdaptiveTwoPassTriangle) Snapshot() []byte {
-	return stream.SnapshotOf("adaptive-triangle", a, a.M(), appendI64(nil, int64(a.FinalSample())))
+	return stream.SnapshotOf("adaptive-triangle", a, a.M(), int64(a.FinalSample()))
 }
 
 // Snapshot implements stream.Snapshotter.
 func (f *TwoPassFourCycle) Snapshot() []byte {
-	extra := appendI64(nil, f.WedgesFormed())
-	extra = appendI64(extra, int64(f.WedgesKept()))
-	extra = appendI64(extra, f.CyclesThroughSampledWedges())
-	return stream.SnapshotOf("twopass-fourcycle", f, f.M(), extra)
+	return stream.SnapshotOf("twopass-fourcycle", f, f.M(), f.WedgesFormed(), int64(f.WedgesKept()), f.CyclesThroughSampledWedges())
 }

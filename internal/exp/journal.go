@@ -157,8 +157,9 @@ func GitRev() string {
 	return rev
 }
 
-// journalDriver is the multi-copy driver every record names: runCopies
-// always runs the broadcast driver.
+// journalDriver is the multi-copy driver every record names. runCopies runs
+// the copy pool, which keeps the name of the broadcast driver it replaced,
+// so journals written before and after the change validate alike.
 const journalDriver = "broadcast"
 
 // statsDelta returns after minus before for the summing counters; the

@@ -100,7 +100,7 @@ func alSpaceAt(s *stream.Stream, b int, seed uint64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	runOne(s, alg)
+	runCopies(s, []stream.Estimator{alg})
 	return alg.SpaceWords(), nil
 }
 

@@ -41,8 +41,8 @@ func TestStreamFromFileMatchesInMemory(t *testing.T) {
 	}
 	mem := mk()
 	file := mk()
-	runOne(s, mem)
-	runOne(loaded, file)
+	runCopies(s, []stream.Estimator{mem})
+	runCopies(loaded, []stream.Estimator{file})
 	if mem.Estimate() != file.Estimate() {
 		t.Fatalf("file replay estimate %v != in-memory %v", file.Estimate(), mem.Estimate())
 	}

@@ -105,7 +105,7 @@ func Table1Row1WedgeSampler(seed uint64) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			runOne(stream.Random(g, seed+uint64(i)), alg)
+			runCopies(stream.Random(g, seed+uint64(i)), []stream.Estimator{alg})
 			errs = append(errs, relErr(alg.Estimate(), float64(T)))
 			spaceSum += float64(alg.SpaceWords())
 		}

@@ -129,7 +129,7 @@ type EstimateRequest struct {
 	Copies int `json:"copies,omitempty"`
 	// Confidence derives Copies from δ = 1-Confidence.
 	Confidence float64 `json:"confidence,omitempty"`
-	// Parallel runs copies concurrently through the broadcast driver.
+	// Parallel runs up to min(copies, GOMAXPROCS) copies at once.
 	Parallel bool `json:"parallel,omitempty"`
 	// Driver is empty or "broadcast", the one parallel driver; any other
 	// value is rejected as invalid_options.
@@ -156,13 +156,6 @@ func (r EstimateRequest) EffectiveSeed() uint64 {
 		return *r.Seed
 	}
 	return 0
-}
-
-// arbitraryModel reports whether the request selects the arbitrary-order
-// model — the runs that bypass the cluster-mode remote runner and the batch
-// family grouping (both are built on the adjacency-list snapshot transport).
-func (r EstimateRequest) arbitraryModel() bool {
-	return adjstream.Model(r.Model) == adjstream.ModelArbitrary
 }
 
 // options maps the wire request onto adjstream.Options.
@@ -194,9 +187,6 @@ func (r EstimateRequest) validate(kind string) error {
 	}
 	if kind != "distinguish" {
 		return r.options().Validate()
-	}
-	if r.Model != "" && adjstream.Model(r.Model) != adjstream.ModelAdjacencyList {
-		return fmt.Errorf("%w: distinguish runs the adjacency-list model; leave model empty", adjstream.ErrInvalidOptions)
 	}
 	if r.Algorithm != "" {
 		return fmt.Errorf("%w: Distinguish derives Algorithm from cycle_len; leave it empty", adjstream.ErrInvalidOptions)
@@ -556,10 +546,7 @@ func (s *Server) runOne(ctx context.Context, kind string, req EstimateRequest, d
 // the local pool+library path when the remote reports itself unavailable,
 // unless that fallback is disabled.
 func (s *Server) dispatch(ctx context.Context, kind string, req EstimateRequest, ds *Dataset) (EstimateResponse, error) {
-	// Arbitrary-model runs always execute locally: the cluster scheduler
-	// shards copies over the adjacency-list snapshot transport, which
-	// arbitrary-order estimators do not speak.
-	if s.cfg.Remote != nil && !req.arbitraryModel() {
+	if s.cfg.Remote != nil {
 		resp, err := s.cfg.Remote(ctx, kind, req, ds)
 		if err == nil || !errors.Is(err, ErrRemoteUnavailable) || s.cfg.NoLocalFallback {
 			return resp, err
@@ -632,9 +619,9 @@ func NewEstimateResponse(kind string, req EstimateRequest, ds *Dataset, res adjs
 		resp.GraphVersion = ds.Version()
 		resp.GraphFingerprint = fmt.Sprintf("%016x", ds.Fingerprint())
 	}
-	// Parallel multi-copy adjacency-list runs are exactly the ones the
-	// broadcast driver executes.
-	if req.Parallel && res.Copies > 1 && !req.arbitraryModel() {
+	// The echo names the broadcast driver for parallel multi-copy
+	// adjacency-list runs, as Result.Driver does.
+	if req.Parallel && res.Copies > 1 && adjstream.Model(req.Model) != adjstream.ModelArbitrary {
 		resp.Driver = string(adjstream.DriverBroadcast)
 	}
 	if kind == "distinguish" {
@@ -755,7 +742,7 @@ func (s *Server) batchRunFamilies(ctx context.Context, reqs []EstimateRequest, p
 	order := make([]cacheKey, 0, len(pending))
 	for _, i := range pending {
 		req := reqs[i]
-		if !req.Parallel || req.Copies <= 1 || req.Confidence != 0 || req.arbitraryModel() {
+		if !req.Parallel || req.Copies <= 1 || req.Confidence != 0 {
 			solo = append(solo, i)
 			continue
 		}
@@ -849,7 +836,7 @@ func (s *Server) batchRun(ctx context.Context, req EstimateRequest, ds *Dataset)
 // dispatch, but without a second pool acquisition — the caller already
 // holds a slot).
 func (s *Server) runOrRemote(ctx context.Context, req EstimateRequest, ds *Dataset) (EstimateResponse, error) {
-	if s.cfg.Remote != nil && !req.arbitraryModel() {
+	if s.cfg.Remote != nil {
 		resp, err := s.cfg.Remote(ctx, "estimate", req, ds)
 		if err == nil || !errors.Is(err, ErrRemoteUnavailable) || s.cfg.NoLocalFallback {
 			return resp, err

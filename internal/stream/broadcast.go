@@ -1,52 +1,42 @@
 package stream
 
 import (
+	"cmp"
 	"context"
 	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"adjstream/internal/stats"
 )
 
-// The paper's estimators are median-of-k independent copies over the same
-// adjacency-list stream (Theorems 3.7 and 4.6). Replaying the stream once
-// per copy costs O(k · passes · 2m) stream-item reads for what is logically
-// O(passes · 2m): every copy sees the identical item sequence. The
-// broadcast driver reads the stream once per pass and shares it: the copies
-// are split into contiguous shards, one worker per shard, and each worker
-// walks the stream's immutable chunks (often mmap-ed straight from an
-// "adjC" file) handing every whole chunk to each copy of its shard in turn
-// — the same walkPass a sequential run uses. Nothing is copied or sent; the
-// only coordination is the per-pass finish barrier. Per-copy semantics are
-// exactly those of sequential Run, so deterministic (fixed-seed)
-// estimators produce bit-identical estimates.
+// The paper's estimators are medians of k independent copies over the same
+// stream (Theorems 3.7 and 4.6). Every k-copy run executes on one bounded
+// worker pool, RunPool, and every adjacency-list copy walks the stream
+// through walkPass as a sequential Run does. The file keeps the name of
+// the broadcast driver the pool replaced, which shared one read of each
+// pass among all copies; DESIGN.md §4b gives the measurements that
+// retired it.
 
-// DriverStats counts the work a driver run performed. StreamItemsRead
-// counts reads of the underlying stream and ItemsDelivered the callback
-// deliveries to estimator copies: replaying the stream per copy would need
-// one read per delivery, broadcast amortizes one read across all copies of
-// a pass.
+// DriverStats counts the work a k-copy run performed.
 type DriverStats struct {
-	// Copies is the number of estimator copies driven.
+	// Copies is the number of copies whose run completed.
 	Copies int
-	// Passes is the maximum pass count across copies (the number of
-	// stream traversals the broadcast driver performs).
+	// Passes is the largest pass count among the copies run.
 	Passes int
-	// StreamItemsRead counts items read from the underlying stream.
+	// StreamItemsRead counts items read from the stream, summed over copies.
 	StreamItemsRead int64
-	// ItemsDelivered counts items delivered to estimator callbacks,
-	// summed over copies.
+	// ItemsDelivered counts items delivered to estimator callbacks. Every
+	// copy reads the stream itself, so it equals StreamItemsRead.
 	ItemsDelivered int64
-	// Batches counts the chunks walked, summed over workers.
+	// Batches counts the chunks walked, summed over copies and passes.
 	Batches int64
-	// Workers is the largest worker count used in any pass, after
-	// clamping to the number of active copies.
+	// Workers is the number of pool workers the run used.
 	Workers int
-	// PassSkewNS is the largest per-pass wall-time spread (slowest worker
-	// minus fastest, in nanoseconds) observed across the run's passes.
-	// Zero when a pass ran inline on one worker. Stragglers — a shard of
-	// copies systematically slower than its peers — show up here.
+	// PassSkewNS is how long, in nanoseconds, the first worker to run out
+	// of copies waited for the last (zero with one worker): stragglers.
 	PassSkewNS int64
 }
 
@@ -67,108 +57,124 @@ func (s *DriverStats) Merge(other DriverStats) {
 	}
 }
 
-// RunBroadcastContext drives every estimator over s reading the stream once
-// per pass (not once per copy per pass), with up to GOMAXPROCS workers.
-// Results are identical to calling Run on each estimator separately. Copies
-// may disagree on pass count; each copy participates in exactly its own
-// first Passes() passes. It returns the driver counters for the run.
-//
-// Cancellation is polled per chunk — never per item — so a never-firing
-// context costs nothing on the hot path. On cancellation the run stops at
-// the next chunk boundary and the call returns ctx.Err() with the counters
-// accumulated so far; the estimators' state is unspecified. No goroutines
-// outlive the call either way.
-func RunBroadcastContext(ctx context.Context, s *Stream, ests []Estimator) (DriverStats, error) {
-	return runBroadcast(ctx, s, ests, runtime.GOMAXPROCS(0))
-}
-
-// runBroadcast is RunBroadcastContext with at most maxWorkers workers.
-func runBroadcast(ctx context.Context, s *Stream, ests []Estimator, maxWorkers int) (DriverStats, error) {
-	if len(ests) == 0 {
-		return DriverStats{}, ctx.Err()
+// RunPool runs the k copies of a median-of-k run, of either streaming
+// model, on min(k, workers) workers, the calling goroutine among them.
+// Copy 0 is built before any worker starts, so a build error surfaces
+// first. Each worker then takes the next copy index i, builds copy i, runs
+// all of its passes with run and hands it to done, which reads it and may
+// recycle its state, before it takes another index; so at most
+// min(k, workers) copies are live at once. After the first error no worker
+// takes another index, the copies in flight are dropped, and RunPool
+// returns that error once every worker has stopped. It also returns the
+// workers' finish-time spread (DriverStats.PassSkewNS).
+func RunPool[E any](k, workers int, build func(i int) (E, error), run func(E) error, done func(i int, e E) error) (skewNS int64, err error) {
+	if k == 0 {
+		return 0, nil
 	}
-	maxPasses := 0
-	for _, e := range ests {
-		maxPasses = max(maxPasses, e.Passes())
+	first, err := build(0)
+	if err != nil {
+		return 0, err
 	}
-	tt := teleForDriver("broadcast")
-	st := DriverStats{Copies: len(ests)}
-	var runErr error
-	for p := 0; p < maxPasses; p++ {
-		var active []Algorithm
-		for _, e := range ests {
-			if e.Passes() > p {
-				active = append(active, e)
+	copyAt := func(i int) (err error) {
+		var e E
+		if i == 0 {
+			e, first = first, e // the pool keeps no reference to a copy it handed back
+		} else if e, err = build(i); err != nil {
+			return err
+		}
+		if err = run(e); err != nil {
+			return err
+		}
+		return done(i, e)
+	}
+	var (
+		next   atomic.Int64 // the next copy index to take
+		failed atomic.Bool
+	)
+	work := func() error {
+		for !failed.Load() {
+			i := int(next.Add(1) - 1)
+			if i >= k {
+				return nil
+			}
+			if err := copyAt(i); err != nil {
+				failed.Store(true)
+				return err
 			}
 		}
-		start := tt.startPass()
-		ps, err := broadcastPass(ctx, s, active, p, maxWorkers)
-		tt.endPass(start, ps.StreamItemsRead, ps.ItemsDelivered)
-		tt.observeSkew(ps.PassSkewNS)
-		st.Merge(ps)
-		st.Passes = p + 1
-		if err != nil {
-			runErr = err
-			break
-		}
+		return nil
 	}
-	tt.copies.Add(int64(len(ests)))
-	tt.batches.Add(st.Batches)
-	return st, runErr
+	workers = max(1, min(k, workers))
+	if workers == 1 {
+		return 0, work()
+	}
+	errs := make([]error, workers)
+	ends := make([]time.Time, workers)
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[w] = work()
+			ends[w] = time.Now()
+		}()
+	}
+	errs[0] = work()
+	ends[0] = time.Now()
+	wg.Wait()
+	skew := slices.MaxFunc(ends, time.Time.Compare).Sub(slices.MinFunc(ends, time.Time.Compare))
+	return int64(skew), cmp.Or(errs...)
 }
 
-// broadcastPass runs pass p: each worker walks the shared chunks for its
-// contiguous shard of the active copies. The returned stats count the
-// items read once (workers share the chunks), the deliveries and chunks
-// walked summed over workers, the worker count, and the wall-time skew
-// across workers (zero when the pass ran inline on one worker). The
-// WaitGroup is the pass finish barrier; the start barrier is implicit in
-// the goroutine launches.
-func broadcastPass(ctx context.Context, s *Stream, active []Algorithm, p int, maxWorkers int) (DriverStats, error) {
-	workers := min(maxWorkers, len(active))
+// RunCopiesContext runs k adjacency-list copies over s on RunPool: build
+// makes copy i, its passes go through walkPass under ctx, and done (nil
+// reads nothing) reads it. A canceled run stops at the next chunk boundary
+// and returns ctx.Err() with the counters accumulated so far.
+func RunCopiesContext(ctx context.Context, s *Stream, k, workers int, build func(i int) (Estimator, error), done func(i int, e Estimator) error) (DriverStats, error) {
+	workers = max(1, min(k, workers))
+	name := "run"
+	if workers > 1 {
+		name = "broadcast"
+	}
+	tt := teleForDriver(name)
 	st := DriverStats{Workers: workers}
-	if workers <= 1 {
-		// Single worker: run inline, no goroutine, no clock reads.
-		chunks, err := walkPass(ctx, s, active, p)
-		st.StreamItemsRead = s.itemsIn(chunks)
-		st.Batches = int64(chunks)
-		st.ItemsDelivered = st.StreamItemsRead * int64(len(active))
-		return st, err
-	}
-	var wg sync.WaitGroup
-	shards := make([][]Algorithm, workers)
-	walls := make([]int64, workers)
-	chunks := make([]int, workers)
-	errs := make([]error, workers)
-	for w := range shards {
-		// Contiguous shards, sizes differing by at most one.
-		shards[w] = active[w*len(active)/workers : (w+1)*len(active)/workers]
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			start := time.Now()
-			chunks[w], errs[w] = walkPass(ctx, s, shards[w], p)
-			walls[w] = int64(time.Since(start))
-		}(w)
-	}
-	wg.Wait()
-	minW, maxW := walls[0], walls[0]
-	var err error
-	for w, shard := range shards {
-		minW, maxW = min(minW, walls[w]), max(maxW, walls[w])
-		read := s.itemsIn(chunks[w])
-		st.StreamItemsRead = max(st.StreamItemsRead, read)
-		st.Batches += int64(chunks[w])
-		st.ItemsDelivered += read * int64(len(shard))
+	var mu sync.Mutex
+	run := func(e Estimator) error {
+		items, chunks, err := walk(ctx, s, e, tt)
+		mu.Lock()
+		st.Passes = max(st.Passes, e.Passes())
+		st.StreamItemsRead += items
+		st.Batches += chunks
 		if err == nil {
-			err = errs[w]
+			st.Copies++
 		}
+		mu.Unlock()
+		return err
 	}
-	st.PassSkewNS = maxW - minW
+	if done == nil {
+		done = func(int, Estimator) error { return nil }
+	}
+	skew, err := RunPool(k, workers, build, run, done)
+	st.ItemsDelivered, st.PassSkewNS = st.StreamItemsRead, skew
+	if workers > 1 {
+		tt.skew.Observe(skew)
+	}
 	return st, err
 }
 
-// MedianBroadcastContext drives the copies with the broadcast driver and
+// RunBroadcastContext drives every prebuilt estimator over s on
+// RunCopiesContext with up to GOMAXPROCS workers, with results identical to
+// calling Run on each; copies may disagree on pass count. None is
+// recycled: the caller reads them afterwards.
+func RunBroadcastContext(ctx context.Context, s *Stream, ests []Estimator) (DriverStats, error) {
+	if len(ests) == 0 {
+		return DriverStats{}, ctx.Err()
+	}
+	return RunCopiesContext(ctx, s, len(ests), runtime.GOMAXPROCS(0),
+		func(i int) (Estimator, error) { return ests[i], nil }, nil)
+}
+
+// MedianBroadcastContext drives the copies with RunBroadcastContext and
 // returns the median estimate, the summed peak space, and the driver
 // counters. On cancellation it returns ctx.Err() with zero estimate and
 // space — the copies' state is unspecified after an aborted run — plus the

@@ -3,7 +3,7 @@ package stream
 // Cancellation tests for the context-aware drivers: a cancelled run must
 // stop promptly at a chunk boundary, return ctx.Err(), and leak no
 // goroutines — and a never-firing context must not perturb a single
-// callback relative to the pre-context drivers.
+// callback relative to Run.
 
 import (
 	"context"
@@ -139,9 +139,9 @@ func TestRunContextDeadline(t *testing.T) {
 	}
 }
 
-// TestBroadcastContextCancelMidPass parks one worker on its first edge,
-// cancels, and checks that every worker abandons the pass at its next
-// chunk boundary, exits, and the stream was not fully read.
+// TestBroadcastContextCancelMidPass parks one copy on its first edge,
+// cancels, and checks that the pool abandons that copy at its next chunk
+// boundary, every worker exits, and the parked copy never completed.
 func TestBroadcastContextCancelMidPass(t *testing.T) {
 	g := randomGraph(80, 0.4, 3)
 	s := Random(g, 2)
@@ -159,7 +159,7 @@ func TestBroadcastContextCancelMidPass(t *testing.T) {
 	}
 	outc := make(chan out, 1)
 	go func() {
-		st, err := runBroadcast(ctx, chunkedStream(s, 8, 0), ests, len(ests))
+		st, err := runPrebuilt(ctx, chunkedStream(s, 8, 0), ests, len(ests))
 		outc <- out{st, err}
 	}()
 	<-gate.tripped
@@ -169,9 +169,13 @@ func TestBroadcastContextCancelMidPass(t *testing.T) {
 	if !errors.Is(res.err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", res.err)
 	}
-	// Two passes over 2m items is the full read; a cancelled first pass
-	// must have read strictly less.
-	if full := int64(2 * s.Len()); res.st.StreamItemsRead >= full {
+	// Every copy reads the stream itself, two passes over 2m items each;
+	// the parked copy stopped in its first pass, so it never completed and
+	// the run read strictly less than the full k copies.
+	if res.st.Copies >= len(ests) {
+		t.Fatalf("Copies = %d, want < %d after a mid-pass cancel", res.st.Copies, len(ests))
+	}
+	if full := int64(len(ests) * 2 * s.Len()); res.st.StreamItemsRead >= full {
 		t.Fatalf("StreamItemsRead = %d, want < %d after mid-pass cancel", res.st.StreamItemsRead, full)
 	}
 	waitGoroutines(t, base)
@@ -197,7 +201,8 @@ func TestBroadcastContextBackgroundMatchesBroadcast(t *testing.T) {
 			t.Fatalf("copy %d diverges under a background context", i)
 		}
 	}
-	if st.Passes != 2 || st.StreamItemsRead != int64(2*s.Len()) {
+	// Each of the k copies reads both passes itself.
+	if st.Passes != 2 || st.Copies != k || st.StreamItemsRead != int64(k*2*s.Len()) {
 		t.Fatalf("stats = %+v", st)
 	}
 }

@@ -11,18 +11,18 @@
 //
 // # Drivers
 //
-// [RunContext] drives one Algorithm over one stream, pass by pass.
-// Multi-copy runs (median amplification, trials) use [RunBroadcastContext],
-// which reads the stream once per pass and hands every chunk to each copy
-// in turn; per-copy results are identical to sequential runs, and the
-// [DriverStats] it returns quantify the read reduction. Both drivers turn
-// chunks into callbacks through the same walker.
+// [RunContext] drives one Algorithm over one stream, pass by pass. Every
+// multi-copy run executes on one bounded worker pool, [RunPool], which
+// holds at most as many copies as it has workers; [RunCopiesContext] and
+// [RunBroadcastContext] put adjacency-list copies on it. Every copy walks
+// the stream through the same chunk walker as RunContext, so per-copy
+// results are identical to sequential runs.
 //
 // # Telemetry
 //
-// When the global registry of internal/telemetry is enabled, both drivers
-// record per-pass wall times, items/sec and delivery counters under
-// "driver.run.*" and "driver.broadcast.*", plus the broadcast driver's
-// per-pass worker skew. With telemetry disabled (the default) the
-// instrumentation is nil-handle no-ops, off the per-item path entirely.
+// When the global registry of internal/telemetry is enabled, the drivers
+// record per-pass wall times, items/sec and read counters under
+// "driver.run.*" (one worker) and "driver.broadcast.*" (more than one).
+// With telemetry disabled (the default) the instrumentation is nil-handle
+// no-ops, off the per-item path entirely.
 package stream

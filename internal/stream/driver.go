@@ -40,17 +40,8 @@ func Run(s *Stream, a Algorithm) {
 // and returns ctx.Err(). A context that never fires adds no per-item work
 // and yields exactly the callback sequence of Run.
 func RunContext(ctx context.Context, s *Stream, a Algorithm) error {
-	tt := teleForDriver("run")
-	shard := []Algorithm{a}
-	for p := 0; p < a.Passes(); p++ {
-		start := tt.startPass()
-		if _, err := walkPass(ctx, s, shard, p); err != nil {
-			return err
-		}
-		tt.endPass(start, int64(s.Len()), int64(s.Len()))
-	}
-	tt.copies.Add(1)
-	return nil
+	_, _, err := walk(ctx, s, a, teleForDriver("run"))
+	return err
 }
 
 // RunOrders drives a with a (possibly) different stream per pass. All
@@ -68,32 +59,47 @@ func RunOrders(streams []*Stream, a Algorithm) error {
 		}
 	}
 	tt := teleForDriver("run")
-	shard := []Algorithm{a}
 	for p, s := range streams {
 		start := tt.startPass()
 		// context.Background never fires, so the pass cannot fail.
-		_, _ = walkPass(context.Background(), s, shard, p)
-		tt.endPass(start, int64(s.Len()), int64(s.Len()))
+		n, _ := walkPass(context.Background(), s, a, p)
+		tt.endPass(start, int64(s.Len()), int64(n))
 	}
 	tt.copies.Add(1)
 	return nil
 }
 
-// walkPass delivers pass p of s to every algorithm in shard: StartPass,
-// then each whole chunk to each copy in turn, then the close of the last
-// open list and EndPass. ctx is polled before the pass and before every
-// chunk; an aborted pass stops there without closing the open list. It
-// returns the number of chunks walked.
-func walkPass(ctx context.Context, s *Stream, shard []Algorithm, p int) (chunks int, err error) {
+// walk drives every pass of a over s through walkPass under ctx, records
+// each completed pass and the completed copy in tt, and returns the items
+// and chunks it walked. A canceled pass stops walk with ctx.Err().
+func walk(ctx context.Context, s *Stream, a Algorithm, tt driverTele) (items, chunks int64, err error) {
+	for p := 0; p < a.Passes(); p++ {
+		start := tt.startPass()
+		n, err := walkPass(ctx, s, a, p)
+		read := s.itemsIn(n)
+		items += read
+		chunks += int64(n)
+		if err != nil {
+			return items, chunks, err
+		}
+		tt.endPass(start, read, int64(n))
+	}
+	tt.copies.Add(1)
+	return items, chunks, nil
+}
+
+// walkPass delivers pass p of s to a: StartPass, then each whole chunk,
+// then the close of the last open list and EndPass. ctx is polled before
+// the pass and before every chunk; an aborted pass stops there without
+// closing the open list. It returns the number of chunks walked.
+func walkPass(ctx context.Context, s *Stream, a Algorithm, p int) (chunks int, err error) {
 	done := ctx.Done()
 	if done != nil {
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
 	}
-	for _, a := range shard {
-		a.StartPass(p)
-	}
+	a.StartPass(p)
 	var cur listCursor
 	for i := range s.chunks {
 		if done != nil && i > 0 {
@@ -102,18 +108,14 @@ func walkPass(ctx context.Context, s *Stream, shard []Algorithm, p int) (chunks 
 			}
 		}
 		c := &s.chunks[i]
-		for _, a := range shard {
-			walkChunk(a, c, cur)
-		}
+		walkChunk(a, c, cur)
 		cur = cur.advance(c)
 		chunks++
 	}
-	for _, a := range shard {
-		if cur.open {
-			a.EndList(cur.owner)
-		}
-		a.EndPass(p)
+	if cur.open {
+		a.EndList(cur.owner)
 	}
+	a.EndPass(p)
 	return chunks, nil
 }
 

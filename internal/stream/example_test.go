@@ -37,9 +37,9 @@ func Example() {
 	// m=3 pass 0: 6 items in 3 lists; pass 1: 6 items in 3 lists
 }
 
-// ExampleRunBroadcastContext shares one stream read per pass among several
-// estimator copies; the driver stats show the read reduction over per-copy
-// replay.
+// ExampleRunBroadcastContext runs several prebuilt estimator copies on the
+// copy pool; every copy reads the stream itself, and the driver stats count
+// what the copies read.
 func ExampleRunBroadcastContext() {
 	g := graph.MustFromEdges([]graph.Edge{{U: 1, V: 2}, {U: 2, V: 3}, {U: 1, V: 3}})
 	s := stream.Sorted(g)
@@ -58,7 +58,7 @@ func ExampleRunBroadcastContext() {
 		st.Copies, st.StreamItemsRead, st.ItemsDelivered)
 	fmt.Printf("each copy saw %v items\n", ests[0].items)
 	// Output:
-	// copies=3 stream items read=6 delivered=18
+	// copies=3 stream items read=18 delivered=18
 	// each copy saw 6 items
 }
 

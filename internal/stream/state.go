@@ -106,16 +106,27 @@ func DecodeCopyState(b []byte) (CopyState, error) {
 	return st, nil
 }
 
+// Summary is what a finished estimator copy of either streaming model
+// reports.
+type Summary interface {
+	Passes() int
+	Estimate() float64
+	SpaceWords() int64
+}
+
 // SnapshotOf builds the standard snapshot for a completed estimator copy,
-// reading the summary through the estimator's own accessors.
-func SnapshotOf(algo string, e Estimator, m int64, extra []byte) []byte {
+// reading the summary through the estimator's own accessors. The extra
+// fields become the Extra payload: fixed 64-bit little-endian, in order.
+func SnapshotOf(algo string, e Summary, m int64, extra ...int64) []byte {
 	st := CopyState{
 		Algo:       algo,
 		Estimate:   e.Estimate(),
 		SpaceWords: e.SpaceWords(),
 		Passes:     int64(e.Passes()),
 		M:          m,
-		Extra:      extra,
+	}
+	for _, v := range extra {
+		st.Extra = binary.LittleEndian.AppendUint64(st.Extra, uint64(v))
 	}
 	return st.Encode()
 }

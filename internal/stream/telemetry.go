@@ -12,18 +12,19 @@ import (
 // at all. With telemetry disabled every handle is nil and each update is a
 // nil check — the ≤2% BenchmarkDriver overhead budget of DESIGN.md §4d.
 //
-// Metric names, per driver ("run" for the sequential driver, "broadcast"
-// for the k-copy broadcast driver):
+// Metric names, per driver name ("run" for RunContext and for k-copy runs
+// on one worker, "broadcast" for k-copy runs on more than one worker; the
+// name is kept from the broadcast driver the copy pool replaced):
 //
-//	driver.<name>.pass_ns         histogram — wall time per stream pass
+//	driver.<name>.pass_ns         histogram — wall time per copy pass
 //	driver.<name>.items_per_sec   gauge     — throughput of the last pass
 //	driver.<name>.items_read      counter   — stream items read
 //	driver.<name>.items_delivered counter   — items delivered to copies
-//	driver.<name>.passes          counter   — stream traversals completed
+//	driver.<name>.passes          counter   — copy passes completed
 //	driver.<name>.copies          counter   — estimator copies completed
-//	driver.<name>.batches         counter   — chunks walked, summed over workers
-//	driver.broadcast.pass_skew_ns histogram — per-pass worker wall-time
-//	                                          spread (stragglers)
+//	driver.<name>.batches         counter   — chunks walked, summed over copies
+//	driver.broadcast.pass_skew_ns histogram — spread of a run's worker
+//	                                          finish times (stragglers)
 type driverTele struct {
 	passNS      *telemetry.Histogram
 	itemsPerSec *telemetry.Gauge
@@ -55,14 +56,6 @@ func teleForDriver(name string) driverTele {
 	}
 }
 
-// observeSkew records one pass's worker wall-time spread.
-func (t driverTele) observeSkew(ns int64) {
-	if t.skew == nil {
-		return
-	}
-	t.skew.Observe(ns)
-}
-
 // startPass returns the pass start time, or the zero time when disabled
 // (skipping the clock read entirely).
 func (t driverTele) startPass() time.Time {
@@ -72,9 +65,9 @@ func (t driverTele) startPass() time.Time {
 	return time.Now()
 }
 
-// endPass records one completed pass that read items stream items and
-// delivered delivered callbacks.
-func (t driverTele) endPass(start time.Time, items, delivered int64) {
+// endPass records one completed pass that read items stream items in
+// chunks chunks.
+func (t driverTele) endPass(start time.Time, items, chunks int64) {
 	if t.passNS == nil {
 		return
 	}
@@ -84,6 +77,7 @@ func (t driverTele) endPass(start time.Time, items, delivered int64) {
 		t.itemsPerSec.Set(int64(float64(items) * float64(time.Second) / float64(el)))
 	}
 	t.itemsRead.Add(items)
-	t.delivered.Add(delivered)
+	t.delivered.Add(items)
+	t.batches.Add(chunks)
 	t.passes.Add(1)
 }

@@ -1,9 +1,9 @@
 package stream
 
-// Tests for the driver counters (reported by the broadcast workers and
-// merged after each pass) and for the driver telemetry. These run under
-// `make race` / the race CI job, which is what actually asserts that the
-// worker counter sharing is sound.
+// Tests for the driver counters (added up by the pool's workers as their
+// copies finish) and for the driver telemetry. These run under `make race`
+// / the race CI job, which is what actually asserts that the worker
+// counter sharing is sound.
 
 import (
 	"context"
@@ -13,10 +13,10 @@ import (
 	"adjstream/internal/telemetry"
 )
 
-// TestDriverStatsAtomicCounters drives many concurrent broadcast runs over
-// the same stream and checks every run's counters exactly. Each pass's
-// workers report their counts through per-worker slots merged after the
-// pass barrier; under -race this test is the assertion that the sharing is
+// TestDriverStatsAtomicCounters drives many concurrent pool runs over the
+// same stream and checks every run's counters exactly. Each copy reads the
+// stream itself and its worker adds its counts to the run's as it
+// finishes; under -race this test is the assertion that the sharing is
 // data-race-free.
 func TestDriverStatsAtomicCounters(t *testing.T) {
 	g := randomGraph(40, 0.2, 11)
@@ -29,11 +29,10 @@ func TestDriverStatsAtomicCounters(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			stats[r], errs[r] = runBroadcast(context.Background(), s, sums(k), workers)
+			stats[r], errs[r] = runPrebuilt(context.Background(), s, sums(k), workers)
 		}(r)
 	}
 	wg.Wait()
-	chunksPerPass := int64(len(s.Chunks()) * workers)
 	for r, st := range stats {
 		if errs[r] != nil {
 			t.Fatalf("run %d: %v", r, errs[r])
@@ -41,20 +40,19 @@ func TestDriverStatsAtomicCounters(t *testing.T) {
 		if st.Copies != k || st.Passes != 2 || st.Workers != workers {
 			t.Fatalf("run %d: stats = %+v", r, st)
 		}
-		if want := int64(2 * s.Len()); st.StreamItemsRead != want {
-			t.Fatalf("run %d: StreamItemsRead = %d, want %d", r, st.StreamItemsRead, want)
+		want := int64(2 * s.Len() * k)
+		if st.StreamItemsRead != want || st.ItemsDelivered != want {
+			t.Fatalf("run %d: reads %d, delivered %d; want %d each", r, st.StreamItemsRead, st.ItemsDelivered, want)
 		}
-		if want := int64(2 * s.Len() * k); st.ItemsDelivered != want {
-			t.Fatalf("run %d: ItemsDelivered = %d, want %d", r, st.ItemsDelivered, want)
-		}
-		if want := 2 * chunksPerPass; st.Batches != want {
+		if want := int64(2 * len(s.Chunks()) * k); st.Batches != want {
 			t.Fatalf("run %d: Batches = %d, want %d", r, st.Batches, want)
 		}
 	}
 }
 
-// TestDriverTelemetry checks the metrics both drivers report into a live
-// registry: read/delivery counters, pass counts and timings, copies.
+// TestDriverTelemetry checks the metrics RunContext and a multi-worker
+// pool run report into a live registry: read/delivery counters, chunks,
+// pass counts and timings, copies.
 func TestDriverTelemetry(t *testing.T) {
 	defer telemetry.Disable()
 	r := telemetry.Enable()
@@ -77,9 +75,12 @@ func TestDriverTelemetry(t *testing.T) {
 	if got := snap["driver.run.pass_ns.count"]; got != 2 {
 		t.Fatalf("pass_ns count = %v", got)
 	}
+	if got := snap["driver.run.batches"]; got != float64(2*len(s.Chunks())) {
+		t.Fatalf("run batches = %v, want %d", got, 2*len(s.Chunks()))
+	}
 
 	const k = 6
-	st, err := runBroadcast(context.Background(), chunkedStream(s, 32, 0), sums(k), 3)
+	st, err := runPrebuilt(context.Background(), chunkedStream(s, 32, 0), sums(k), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,14 +97,21 @@ func TestDriverTelemetry(t *testing.T) {
 	if got := snap["driver.broadcast.copies"]; got != k {
 		t.Fatalf("broadcast copies = %v", got)
 	}
+	if got := snap["driver.broadcast.passes"]; got != 2*k {
+		t.Fatalf("broadcast passes = %v, want %d (every copy's passes)", got, 2*k)
+	}
+	if got := snap["driver.broadcast.pass_skew_ns.count"]; got != 1 {
+		t.Fatalf("broadcast pass_skew_ns count = %v, want 1 (once per run)", got)
+	}
 	if snap["driver.broadcast.items_per_sec"] <= 0 {
 		t.Fatal("items_per_sec not set")
 	}
 }
 
-// TestBroadcastTelemetryConcurrent has several broadcast runs reporting
-// into one shared registry at once (the -listen scenario); totals must add
-// up and, under -race, the shared handles must be clean.
+// TestBroadcastTelemetryConcurrent has several pool runs reporting into
+// one shared registry at once (the -listen scenario); totals must add up
+// and, under -race, the shared handles must be clean. Every copy reads the
+// stream itself, so reads and deliveries both come to runs × k × 2 passes.
 func TestBroadcastTelemetryConcurrent(t *testing.T) {
 	defer telemetry.Disable()
 	r := telemetry.Enable()
@@ -116,12 +124,12 @@ func TestBroadcastTelemetryConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _ = runBroadcast(context.Background(), s, sums(k), 2)
+			_, _ = runPrebuilt(context.Background(), s, sums(k), 2)
 		}()
 	}
 	wg.Wait()
 	snap := r.Snapshot()
-	if want := float64(runs * 2 * s.Len()); snap["driver.broadcast.items_read"] != want {
+	if want := float64(runs * k * 2 * s.Len()); snap["driver.broadcast.items_read"] != want {
 		t.Fatalf("items_read = %v, want %v", snap["driver.broadcast.items_read"], want)
 	}
 	if want := float64(runs * k * 2 * s.Len()); snap["driver.broadcast.items_delivered"] != want {

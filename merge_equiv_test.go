@@ -1,7 +1,7 @@
 package adjstream
 
-// Split-run equivalence: for every algorithm, partitioning a 9-copy run
-// into three shards — run sequentially or on the broadcast driver —
+// Split-run equivalence: for every algorithm of both models, partitioning
+// a 9-copy run into three shards — run sequentially or in parallel —
 // writing the shards to snapshot files, reading them back out of order,
 // and merging must reproduce the single-process parallel Result bit for
 // bit.
@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"adjstream/internal/gen"
@@ -33,7 +34,7 @@ func TestShardedMergeMatchesSingleRun(t *testing.T) {
 		{3, 7, false, ""},
 		{7, 9, true, ""},
 	}
-	for _, algo := range Algorithms() {
+	for _, algo := range append(Algorithms(), AlgorithmsForModel(ModelArbitrary)...) {
 		t.Run(string(algo), func(t *testing.T) {
 			opts := Options{
 				Algorithm:  algo,
@@ -42,6 +43,15 @@ func TestShardedMergeMatchesSingleRun(t *testing.T) {
 				Copies:     k,
 				Parallel:   true,
 				Seed:       21,
+			}
+			arb := slices.Contains(AlgorithmsForModel(ModelArbitrary), algo)
+			if arb {
+				// Three of them take a sampling rate; arb-buriol keeps its
+				// instance count.
+				opts.Model, opts.PairCap = ModelArbitrary, 0
+				if algo != AlgoArbBuriol {
+					opts.SampleSize, opts.SampleProb = 0, 0.3
+				}
 			}
 			want, err := Estimate(s, opts)
 			if err != nil {
@@ -52,6 +62,9 @@ func TestShardedMergeMatchesSingleRun(t *testing.T) {
 			for i, sh := range shards {
 				so := opts
 				so.Parallel, so.Driver = sh.parallel, sh.driver
+				if arb {
+					so.Driver = "" // drivers name adjacency-list runs
+				}
 				snaps, err := EstimateShardContext(context.Background(), s, so, sh.lo, sh.hi)
 				if err != nil {
 					t.Fatalf("shard [%d,%d): %v", sh.lo, sh.hi, err)

@@ -26,38 +26,66 @@ type CopySnapshot = []byte
 // EstimateShardContext runs the copy range [lo, hi) of the k-copy estimation
 // opts describes over s and returns one snapshot per copy, in copy order.
 // The full run has k = opts.copies() copies (from Copies or Confidence);
-// 0 ≤ lo < hi ≤ k is required. Parallel chooses how the shard's copies
-// traverse the stream, exactly as in EstimateContext. The snapshots
-// from shards covering all of [0, k) merge into the bit-identical
-// single-process Result via MergeSnapshots. Errors wrap ErrUnknownAlgorithm,
-// ErrInvalidOptions, or ErrCanceled.
+// 0 ≤ lo < hi ≤ k is required. Parallel chooses how many of the shard's
+// copies run at once, exactly as in EstimateContext. Under ModelArbitrary
+// the copies replay s's first-occurrence edge sequence, as EstimateContext
+// does. The snapshots from shards covering all of [0, k) merge into the
+// bit-identical single-process Result via MergeSnapshots. Errors wrap
+// ErrUnknownAlgorithm, ErrInvalidOptions, or ErrCanceled.
 func EstimateShardContext(ctx context.Context, s *Stream, opts Options, lo, hi int) ([]CopySnapshot, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	if opts.Model == ModelArbitrary {
-		return nil, fmt.Errorf("%w: Model %q has no snapshot transport; shard execution is adjacency-list only", ErrInvalidOptions, opts.Model)
+		return EstimateArbitraryShardContext(ctx, NewArbitraryStream(s), opts, lo, hi)
 	}
-	k := opts.copies()
-	if lo < 0 || hi <= lo || hi > k {
-		return nil, fmt.Errorf("%w: copy range [%d,%d) outside [0,%d)", ErrInvalidOptions, lo, hi, k)
-	}
-	copies, err := buildCopies(opts, lo, hi, opts.wrapSingle)
+	snaps, err := newSnapshots(opts, lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := copies[0].(stream.Snapshotter); !ok {
-		return nil, fmt.Errorf("%w: algorithm %q does not support snapshots", ErrInvalidOptions, opts.Algorithm)
-	}
-	if _, _, err := opts.runCopies(ctx, s, copies); err != nil {
+	if _, err := opts.runCopies(ctx, s, lo, hi, opts.wrapSingle, snaps.read); err != nil {
 		return nil, err
 	}
-	snaps := make([]CopySnapshot, len(copies))
-	for i, e := range copies {
-		snaps[i] = e.(stream.Snapshotter).Snapshot()
-	}
-	recycle(copies)
 	return snaps, nil
+}
+
+// EstimateArbitraryShardContext is EstimateShardContext over an explicit
+// arbitrary-order edge stream, as EstimateArbitraryContext is
+// EstimateContext's: it runs copies [lo, hi) of the k-copy arbitrary-order
+// run opts describes over s and returns one snapshot per copy, in copy
+// order. Options.Model may be left empty; ModelAdjacencyList is rejected.
+func EstimateArbitraryShardContext(ctx context.Context, s *ArbitraryStream, opts Options, lo, hi int) ([]CopySnapshot, error) {
+	opts, err := arbitraryOptions(opts)
+	if err != nil {
+		return nil, err
+	}
+	snaps, err := newSnapshots(opts, lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	if err := opts.arbitraryCopies(ctx, s, lo, hi, opts.arbitraryBuilder(s), snaps.read); err != nil {
+		return nil, err
+	}
+	return snaps, nil
+}
+
+// snapshots collects the snapshots of a shard run's copies, in copy order.
+type snapshots []CopySnapshot
+
+// newSnapshots checks that [lo, hi) is a copy range of opts' k-copy run and
+// returns room for its snapshots.
+func newSnapshots(opts Options, lo, hi int) (snapshots, error) {
+	if k := opts.copies(); lo < 0 || hi <= lo || hi > k {
+		return nil, fmt.Errorf("%w: copy range [%d,%d) outside [0,%d)", ErrInvalidOptions, lo, hi, k)
+	}
+	return make(snapshots, hi-lo), nil
+}
+
+// read keeps the snapshot of the shard's copy i. Every facade algorithm of
+// both models snapshots.
+func (sn snapshots) read(i int, c stream.Summary) error {
+	sn[i] = c.(stream.Snapshotter).Snapshot()
+	return nil
 }
 
 // MergeSnapshots combines per-copy snapshots — from any partition of a run's
