@@ -169,7 +169,9 @@ func WriteStreamFile(path string, s *Stream) error {
 // adjacency-list stream: each edge is emitted once, at the position of its
 // first occurrence in s. The derivation is deterministic, so the two models
 // can be A/B-compared on the same input — Estimate with
-// Options.Model = ModelArbitrary uses exactly this conversion.
+// Options.Model = ModelArbitrary uses exactly this conversion. s computes
+// it on the first call and keeps it (16 bytes per edge), so every later
+// conversion of s returns the same stream without allocating.
 func NewArbitraryStream(s *Stream) *ArbitraryStream {
 	return arbitrary.FromAdjacencyStream(s)
 }
@@ -829,9 +831,7 @@ func arbitraryOptions(opts Options) (Options, error) {
 	return opts, opts.Validate()
 }
 
-// arbitraryBuilder builds o's arbitrary-order copies for s, whose vertex
-// universe it scans once for all of them.
+// arbitraryBuilder builds o's arbitrary-order copies for s.
 func (o Options) arbitraryBuilder(s *ArbitraryStream) func(seed uint64) (arbitrary.Estimator, error) {
-	n := s.N()
-	return func(seed uint64) (arbitrary.Estimator, error) { return o.newArbitrary(seed, n) }
+	return func(seed uint64) (arbitrary.Estimator, error) { return o.newArbitrary(seed, s.N()) }
 }

@@ -14,17 +14,18 @@ import (
 	"adjstream/internal/stream"
 )
 
-// Stream is an arbitrary-order edge stream: every edge exactly once.
-type Stream struct {
-	edges []graph.Edge
-}
+// Stream is an arbitrary-order edge stream: every edge exactly once. Its
+// storage is defined in package stream, so that an adjacency-list stream
+// can keep its conversion (see FromAdjacencyStream); Edges, M and N are
+// documented there.
+type Stream = stream.EdgeStream
 
 // FromGraph returns g's edges in a uniformly random order under seed.
 func FromGraph(g *graph.Graph, seed uint64) *Stream {
 	es := g.Edges()
 	rng := rand.New(rand.NewPCG(seed, seed^0x6c62_272e_07bb_0142))
 	rng.Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
-	return &Stream{edges: es}
+	return stream.NewEdgeStream(es)
 }
 
 // FromEdges validates (vertex ids in [0, graph.MaxV], no duplicates in
@@ -38,7 +39,7 @@ func FromEdges(edges []graph.Edge) (*Stream, error) {
 	if err := validate(edges); err != nil {
 		return nil, err
 	}
-	return &Stream{edges: slices.Clone(edges)}, nil
+	return stream.NewEdgeStream(slices.Clone(edges)), nil
 }
 
 // validate checks FromEdges' contract on edges.
@@ -62,36 +63,12 @@ func validate(edges []graph.Edge) error {
 
 // FromAdjacencyStream derives an arbitrary-order edge stream from an
 // adjacency-list stream: each edge once, in canonical orientation, at the
-// position of its first occurrence in s. It relies on s keeping the
-// adjacency-list promise (contiguous lists, no self-loop, each edge exactly
-// twice) and checks none of it, so the edges need none of FromEdges' checks
-// and are not copied again. Streams built in memory keep the promise by
-// validation (FromItems) or by construction (FromGraph and the order
-// helpers); a stream decoded from an "adjC" file keeps it only on the word
-// of the writer, which accepts only such streams, because the decoder
-// checks the file's structure alone. On a stream that breaks the promise,
-// such as a corrupt file that repeats an item before the neighbour's list
-// starts, the result repeats that edge.
-func FromAdjacencyStream(s *stream.Stream) *Stream {
-	// Each list is contiguous and names each edge once, so an item is its
-	// edge's first occurrence exactly when the neighbour's list has not
-	// started yet.
-	var started flat.Table // owners whose list has begun
-	edges := make([]graph.Edge, 0, s.M())
-	prev := graph.V(-1)
-	for _, c := range s.Chunks() {
-		for i, owner := range c.Owners {
-			if graph.V(owner) != prev {
-				prev = graph.V(owner)
-				started.Put(uint64(owner), 0)
-			}
-			if _, ok := started.Get(uint64(c.Nbrs[i])); !ok {
-				edges = append(edges, graph.Edge{U: graph.V(owner), V: graph.V(c.Nbrs[i])}.Norm())
-			}
-		}
-	}
-	return &Stream{edges: edges}
-}
+// position of its first occurrence in s. The stream computes it once and
+// keeps it (stream.Stream.FirstOccurrences), so converting the same stream
+// again costs nothing. It relies on s keeping the adjacency-list promise
+// and checks none of it, so the edges need none of FromEdges' checks; on a
+// stream that breaks the promise, the result repeats an edge.
+func FromAdjacencyStream(s *stream.Stream) *Stream { return s.FirstOccurrences() }
 
 // ReadEdges parses one whitespace-separated "u v" edge per line (blank lines
 // and #-comments skipped) and returns the stream in file order — the textual
@@ -124,31 +101,7 @@ func ReadEdges(r io.Reader) (*Stream, error) {
 	if err := validate(edges); err != nil {
 		return nil, err
 	}
-	return &Stream{edges: edges}, nil
-}
-
-// Edges returns the stored sequence. The stream owns its storage — FromEdges
-// copies its input, so this slice aliases no caller memory — but the return
-// value is still the live backing array: treat it as read-only.
-func (s *Stream) Edges() []graph.Edge { return s.edges }
-
-// M returns the number of edges.
-func (s *Stream) M() int64 { return int64(len(s.edges)) }
-
-// N returns the vertex-universe size implied by the stream: one past the
-// largest endpoint (0 for an empty stream). One-pass estimators in the
-// Buriol line need n up front; a stream wrapper knows it exactly.
-func (s *Stream) N() int64 {
-	var max graph.V = -1
-	for _, e := range s.edges {
-		if e.U > max {
-			max = e.U
-		}
-		if e.V > max {
-			max = e.V
-		}
-	}
-	return int64(max) + 1
+	return stream.NewEdgeStream(edges), nil
 }
 
 // Algorithm is a multi-pass arbitrary-order streaming algorithm.
@@ -184,18 +137,19 @@ func Run(s *Stream, a Algorithm) {
 // that has finished its last pass returns nil.
 func RunContext(ctx context.Context, s *Stream, a Algorithm) error {
 	const chunk = stream.DefaultChunkItems
+	edges := s.Edges()
 	for p := 0; p < a.Passes(); p++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		a.StartPass(p)
-		for lo := 0; lo < len(s.edges); lo += chunk {
+		for lo := 0; lo < len(edges); lo += chunk {
 			if lo > 0 {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
 			}
-			for _, e := range s.edges[lo:min(lo+chunk, len(s.edges))] {
+			for _, e := range edges[lo:min(lo+chunk, len(edges))] {
 				a.Edge(e.U, e.V)
 			}
 		}
@@ -217,6 +171,7 @@ type TwoPassWedge struct {
 	p       float64
 	sampler sampling.FixedProb
 
+	vertices vertexIndex
 	incident adjacency
 	byPair   flat.Table // PackEdge of a wedge's open pair → wedges on it
 	wedges   int64
@@ -251,6 +206,7 @@ func (t *TwoPassWedge) init(p float64, seed uint64) error {
 		return err
 	}
 	t.p = p
+	t.vertices.reset()
 	t.incident.reset()
 	t.byPair.Reset()
 	t.wedges, t.closed = 0, 0
@@ -276,7 +232,8 @@ func (t *TwoPassWedge) Edge(u, v graph.V) {
 	case 0:
 		t.items++
 		if t.sampler.Offer(u, v) {
-			t.addSampled(graph.Edge{U: u, V: v}.Norm())
+			e := graph.Edge{U: u, V: v}.Norm()
+			t.addSampled(t.vertices.intern(e.U), t.vertices.intern(e.V))
 		}
 	case 1:
 		if w, ok := t.byPair.Get(sampling.PackEdge(u, v)); ok {
@@ -285,25 +242,29 @@ func (t *TwoPassWedge) Edge(u, v graph.V) {
 	}
 }
 
-func (t *TwoPassWedge) addSampled(e graph.Edge) {
-	for _, c := range [2]graph.V{e.U, e.V} {
-		other := e.V
-		if c == e.V {
-			other = e.U
+// addSampled stores the wedges the sampled edge {a, b} (vertex ids, a's
+// name the smaller) forms with the sample so far, each as a count on its
+// open pair's names, which pass two looks up.
+func (t *TwoPassWedge) addSampled(a, b int32) {
+	names := t.vertices.names
+	for _, c := range [2]int32{a, b} {
+		other := b
+		if c == b {
+			other = a
 		}
 		for _, x := range t.incident.nbrs(c) {
-			if graph.V(x) == other {
+			if x == other {
 				continue
 			}
 			t.wedges++
-			key := sampling.PackEdge(graph.V(x), other)
+			key := sampling.PackEdge(names[x], names[other])
 			w, _ := t.byPair.Get(key)
 			t.byPair.Put(key, w+1)
 			t.meter.Charge(space.WordsPerWedge)
 		}
 	}
-	t.incident.add(e.U, e.V)
-	t.incident.add(e.V, e.U)
+	t.incident.add(a, b)
+	t.incident.add(b, a)
 	t.meter.Charge(space.WordsPerEdge)
 }
 

@@ -20,7 +20,8 @@
 // an edge sequence that owns its storage (FromGraph shuffles
 // deterministically under a seed; FromEdges copies and validates;
 // FromAdjacencyStream keeps each edge of an adjacency-list stream at its
-// first occurrence; ReadEdges parses the textual form genstream emits), an
+// first occurrence, converting each stream once; ReadEdges parses the
+// textual form genstream emits), an
 // Algorithm is driven by Run —
 // or RunContext under cancellation — replaying the stream once per pass in
 // identical order, and an Estimator adds the estimate and the

@@ -25,12 +25,12 @@ import (
 // degree, so the per-pair state is min(deg) rather than max(deg) words in
 // expectation.
 
-// trackedPair is one diagonal pair {light, heavy} whose exact co-degree the
-// closure passes compute: pass two collects N(light), and pass three counts
-// the edges {c, heavy} with c ∈ N(light), which is exactly
-// |N(light) ∩ N(heavy)| because every edge appears once per pass.
+// trackedPair is one diagonal pair {light, heavy}, by vertex id, whose
+// exact co-degree the closure passes compute: pass two collects N(light),
+// and pass three counts the edges {c, heavy} with c ∈ N(light), which is
+// exactly |N(light) ∩ N(heavy)| because every edge appears once per pass.
 type trackedPair struct {
-	light, heavy graph.V
+	light, heavy int32
 	codeg        int64
 	weight       int64 // sampled-wedge multiplicity (ThreePassFourCycle)
 	disc         bool  // found by the discovery sample (NearOptFourCycle)
@@ -42,118 +42,208 @@ type trackedPair struct {
 // the edge sample), oriented heavy/light once the sampled degrees are final,
 // and closed over passes two and three. Pairs are held by value in creation
 // order, which fixes every iteration (estimates sum floats), keeping runs
-// bit-deterministic.
+// bit-deterministic. Every vertex is held by its id in the owner's vertex
+// index, which pass two extends to the neighbours of light vertices.
 //
-// Every pair on light vertex L collects the same set N(L), so the pairs
-// share one pending set of (L, neighbour) keys. Pass three counts an edge
-// {c, h} toward the pairs with heavy endpoint h and c ∈ N(light) from
-// whichever side is smaller: h's pairs, each probing pending for
-// (light, c), or the light vertices adjacent to c, each probing the pair
-// index for (L, h). Both sides count the same pairs.
+// Every pair on light vertex L collects the same set N(L), so pass two
+// records each (L, neighbour) once, and each edge appears once per pass, so
+// the record needs no set. Pass three counts an edge {c, h} toward the
+// pairs with heavy endpoint h whose light endpoint is next to c by reading
+// marks (see witness), not by a lookup per pair.
 type pairTracker struct {
-	pairs   []trackedPair // creation order
-	index   flat.Table    // PackEdge of the endpoints → pair id
-	lights  flat.Table    // light endpoint → number of its pairs
-	byHeavy csr[int32]    // heavy endpoint → pair ids, creation order
-	pending flat.Table    // light<<32 | neighbour → 0
-	keys    []uint64      // pending's keys, for nbrOf
-	nbrOf   csr[uint32]   // neighbour → light vertices, from pending
-	meter   *space.Meter
+	vertices *vertexIndex   // the owner's, shared with its adjacencies
+	pairs    []trackedPair  // creation order
+	index    flat.Table     // packed endpoint ids → pair id
+	onLight  []int32        // vertex id → number of pairs it is light in
+	byHeavy  csr[pairEntry] // heavy id → its pairs, creation order
+	seen     []seenNbr      // pass two's (light, neighbour) records
+	nbrOf    csr[int32]     // vertex id → the light vertices next to it
+
+	// Pass three's marks, both indexed by light id and written as 1 + the
+	// id of the vertex they were built for, so 0 is unmarked. lightMark[L]
+	// is markedC+1 when L is next to markedC; pairMark[L] is {markedH+1,
+	// pair} when pair is {L, markedH}. The adjacency and the pairs no
+	// longer change, so a mark left by an earlier build for the same vertex
+	// is still true, and a build only writes, never clears.
+	lightMark        []int32
+	pairMark         []pairEntry
+	markedC, markedH int32
+	prevU, prevV     graph.V // the previous pass-three edge
+
+	meter *space.Meter
 }
 
-// init empties t, keeping its memory, and binds it to its owner's meter.
-func (t *pairTracker) init(meter *space.Meter) {
+// pairEntry is a pair id with a vertex: its light endpoint in a heavy
+// vertex's row, or 1 + the marked heavy vertex in pairMark.
+type pairEntry struct{ vertex, pair int32 }
+
+// seenNbr records that nbr is next to the light vertex light.
+type seenNbr struct{ light, nbr int32 }
+
+// init empties t, keeping its memory, and binds it to its owner's vertex
+// index and meter.
+func (t *pairTracker) init(vertices *vertexIndex, meter *space.Meter) {
+	t.vertices = vertices
 	t.pairs = t.pairs[:0]
 	t.index.Reset()
-	t.lights.Reset()
-	t.byHeavy.reset()
-	t.pending.Reset()
-	t.nbrOf.reset()
+	t.seen = t.seen[:0]
 	t.meter = meter
 }
 
-// pair returns the tracked pair for {a,b}, creating it on first use. The
-// pointer is valid until the next call.
-func (t *pairTracker) pair(a, b graph.V) *trackedPair {
-	key := sampling.PackEdge(a, b)
+// pair returns the tracked pair on the vertex ids a and b, creating it on
+// first use with the smaller name as its light endpoint. The pointer is
+// valid until the next call.
+func (t *pairTracker) pair(a, b int32) *trackedPair {
+	key := uint64(min(a, b))<<32 | uint64(max(a, b))
 	id, ok := t.index.Get(key)
 	if !ok {
 		id = int32(len(t.pairs))
 		t.index.Put(key, id)
-		t.pairs = append(t.pairs, trackedPair{light: min(a, b), heavy: max(a, b)})
+		if t.vertices.names[b] < t.vertices.names[a] {
+			a, b = b, a
+		}
+		t.pairs = append(t.pairs, trackedPair{light: a, heavy: b})
 		t.meter.Charge(space.WordsPerWatcher)
 	}
 	return &t.pairs[id]
 }
 
-// orient fixes each pair's heavy/light orientation by sampled degree (ties
-// by vertex id) and builds the pass-two/three indexes. Called at the end of
-// pass one, when the sampled degrees are final.
-func (t *pairTracker) orient(sdeg func(graph.V) int) {
+// orient fixes each pair's heavy/light orientation by sampled degree, the
+// vertex's neighbours over the given samples (ties by vertex name), and
+// builds the pass-two/three indexes. Called at the end of pass one, when
+// the sampled degrees are final.
+func (t *pairTracker) orient(samples ...*adjacency) {
+	n := t.vertices.len()
+	// lightMark is not used before pass three; it holds the degrees here.
+	t.lightMark = extend(t.lightMark[:0], n)
+	sdeg := t.lightMark
+	for _, a := range samples {
+		for v, r := range a.runs {
+			sdeg[v] += r.n
+		}
+	}
+	t.onLight = extend(t.onLight[:0], n)
 	for i := range t.pairs {
 		tp := &t.pairs[i]
-		if sdeg(tp.heavy) < sdeg(tp.light) {
+		if sdeg[tp.heavy] < sdeg[tp.light] {
 			tp.light, tp.heavy = tp.heavy, tp.light
 		}
-		k, _ := t.lights.Get(uint64(tp.light))
-		t.lights.Put(uint64(tp.light), k+1)
+		t.onLight[tp.light]++
 	}
-	t.byHeavy.build(len(t.pairs), func(i int) (graph.V, int32) { return t.pairs[i].heavy, int32(i) })
+	t.byHeavy.build(n, len(t.pairs), func(i int) (int32, pairEntry) {
+		return t.pairs[i].heavy, pairEntry{t.pairs[i].light, int32(i)}
+	})
 }
 
-// observe handles one pass-two edge: it adds each endpoint to the pending
-// set of the other where that one is a light endpoint. The paper charges
-// each pair its own set, so every insert costs one counter per pair on the
-// light vertex; each is new, because every edge appears once per pass.
+// light returns how many pairs have v as their light endpoint.
+func (t *pairTracker) light(v int32) int32 {
+	if int(v) >= len(t.onLight) {
+		return 0 // an id given in pass two
+	}
+	return t.onLight[v]
+}
+
+// observe handles one pass-two edge: it records each endpoint as a
+// neighbour of the other where that one is a light endpoint, giving the
+// neighbour an id if it has none. The paper charges each pair its own set,
+// so every record costs one counter per pair on the light vertex.
 func (t *pairTracker) observe(u, v graph.V) {
-	t.collect(u, v)
-	t.collect(v, u)
+	iu, uok := t.vertices.id(u)
+	iv, vok := t.vertices.id(v)
+	if uok && t.light(iu) > 0 {
+		if !vok {
+			iv, vok = t.vertices.intern(v), true
+		}
+		t.collect(iu, iv)
+	}
+	if vok && t.light(iv) > 0 {
+		if !uok {
+			iu = t.vertices.intern(u)
+		}
+		t.collect(iv, iu)
+	}
 }
 
-// collect adds w to v's pending set if v is a light endpoint.
-func (t *pairTracker) collect(v, w graph.V) {
-	k, ok := t.lights.Get(uint64(v))
+// collect records w as a neighbour of the light vertex l.
+func (t *pairTracker) collect(l, w int32) {
+	t.seen = append(t.seen, seenNbr{l, w})
+	t.meter.Charge(int64(t.onLight[l]) * space.WordsPerCounter)
+}
+
+// invert builds nbrOf from pass two's records and clears the marks. Called
+// at the end of pass two; no id is given after it.
+func (t *pairTracker) invert() {
+	seen := t.seen
+	t.nbrOf.build(t.vertices.len(), len(seen), func(i int) (int32, int32) { return seen[i].nbr, seen[i].light })
+	t.lightMark = extend(t.lightMark[:0], len(t.onLight))
+	t.pairMark = extend(t.pairMark[:0], len(t.onLight))
+	t.markedC, t.markedH = -1, -1
+	t.prevU, t.prevV = -1, -1
+}
+
+// close handles one pass-three edge {u, v}: it witnesses a common
+// neighbour for the pairs on v whose light endpoint is next to u, and for
+// the pairs on u whose light endpoint is next to v. Marks it must build
+// are u's when u was an endpoint of the previous edge too, and v's
+// otherwise: in an order derived from adjacency lists a list's owner
+// recurs over consecutive edges, so its marks are built once per list.
+func (t *pairTracker) close(u, v graph.V) {
+	uShared := u == t.prevU || u == t.prevV
+	t.prevU, t.prevV = u, v
+	iu, ok := t.vertices.id(u)
 	if !ok {
 		return
 	}
-	t.pending.Put(uint64(v)<<32|uint64(w), 0)
-	t.meter.Charge(int64(k) * space.WordsPerCounter)
-}
-
-// invert builds nbrOf from the pending set. Called at the end of pass two.
-func (t *pairTracker) invert() {
-	t.keys = t.pending.AppendKeys(t.keys[:0])
-	keys := t.keys
-	t.nbrOf.build(len(keys), func(i int) (graph.V, uint32) { return graph.V(uint32(keys[i])), uint32(keys[i] >> 32) })
-}
-
-// close handles one pass-three edge: an edge {c, heavy} with c in the
-// light endpoint's pending set witnesses one common neighbour.
-func (t *pairTracker) close(u, v graph.V) {
-	t.witness(u, v)
-	t.witness(v, u)
+	iv, ok := t.vertices.id(v)
+	if !ok {
+		return
+	}
+	t.witness(iu, iv, uShared)
+	t.witness(iv, iu, !uShared)
 }
 
 // witness counts edge {c, h} toward every pair with heavy endpoint h whose
-// light endpoint has c in its pending set.
-func (t *pairTracker) witness(c, h graph.V) {
-	ids := t.byHeavy.row(h)
-	if len(ids) == 0 {
+// light endpoint is next to c. With c's light neighbours marked it reads
+// one mark per pair on h; with h's pairs marked, one per light neighbour
+// of c. When neither is marked it marks c's side first if markC is set,
+// and h's otherwise.
+func (t *pairTracker) witness(c, h int32, markC bool) {
+	pairs := t.byHeavy.row(h)
+	if len(pairs) == 0 {
 		return
 	}
 	lights := t.nbrOf.row(c)
-	if len(ids) <= len(lights) {
-		for _, id := range ids {
-			tp := &t.pairs[id]
-			if _, ok := t.pending.Get(uint64(tp.light)<<32 | uint64(c)); ok {
-				tp.codeg++
+	if len(lights) == 0 {
+		return
+	}
+	byC := t.markedC == c
+	if byC && t.markedH == h {
+		byC = len(pairs) <= len(lights)
+	} else if !byC && t.markedH != h {
+		byC = markC
+		if byC {
+			t.markedC = c
+			for _, l := range lights {
+				t.lightMark[l] = c + 1
+			}
+		} else {
+			t.markedH = h
+			for _, e := range pairs {
+				t.pairMark[e.vertex] = pairEntry{h + 1, e.pair}
+			}
+		}
+	}
+	if byC {
+		for _, e := range pairs {
+			if t.lightMark[e.vertex] == c+1 {
+				t.pairs[e.pair].codeg++
 			}
 		}
 		return
 	}
 	for _, l := range lights {
-		if id, ok := t.index.Get(sampling.PackEdge(graph.V(l), h)); ok && t.pairs[id].heavy == h {
-			t.pairs[id].codeg++
+		if m := t.pairMark[l]; m.vertex == h+1 {
+			t.pairs[m.pair].codeg++
 		}
 	}
 }
@@ -178,6 +268,7 @@ type ThreePassFourCycle struct {
 	p       float64
 	sampler sampling.FixedProb
 
+	vertices vertexIndex
 	incident adjacency // sampled-edge adjacency (pass one only)
 	tracker  pairTracker
 
@@ -207,8 +298,9 @@ func (t *ThreePassFourCycle) init(p float64, seed uint64) error {
 		return err
 	}
 	t.p = p
+	t.vertices.reset()
 	t.incident.reset()
-	t.tracker.init(&t.meter)
+	t.tracker.init(&t.vertices, &t.meter)
 	t.pass, t.items, t.m = 0, 0, 0
 	t.meter = space.Meter{}
 	return nil
@@ -231,7 +323,8 @@ func (t *ThreePassFourCycle) Edge(u, v graph.V) {
 	case 0:
 		t.items++
 		if t.sampler.Offer(u, v) {
-			t.addSampled(graph.Edge{U: u, V: v}.Norm())
+			e := graph.Edge{U: u, V: v}.Norm()
+			t.addSampled(t.vertices.intern(e.U), t.vertices.intern(e.V))
 		}
 	case 1:
 		t.tracker.observe(u, v)
@@ -240,24 +333,24 @@ func (t *ThreePassFourCycle) Edge(u, v graph.V) {
 	}
 }
 
-// addSampled registers the wedges the new sampled edge forms with the
-// sample so far: each one's endpoint pair becomes (or re-weights) a tracked
-// diagonal pair.
-func (t *ThreePassFourCycle) addSampled(e graph.Edge) {
-	for _, c := range [2]graph.V{e.U, e.V} {
-		other := e.V
-		if c == e.V {
-			other = e.U
+// addSampled registers the wedges the new sampled edge {a, b} (vertex
+// ids, a's name the smaller) forms with the sample so far: each one's
+// endpoint pair becomes (or re-weights) a tracked diagonal pair.
+func (t *ThreePassFourCycle) addSampled(a, b int32) {
+	for _, c := range [2]int32{a, b} {
+		other := b
+		if c == b {
+			other = a
 		}
 		for _, x := range t.incident.nbrs(c) {
-			if graph.V(x) == other {
+			if x == other {
 				continue
 			}
-			t.tracker.pair(graph.V(x), other).weight++
+			t.tracker.pair(x, other).weight++
 		}
 	}
-	t.incident.add(e.U, e.V)
-	t.incident.add(e.V, e.U)
+	t.incident.add(a, b)
+	t.incident.add(b, a)
 	t.meter.Charge(space.WordsPerEdge)
 }
 
@@ -266,7 +359,7 @@ func (t *ThreePassFourCycle) EndPass(p int) {
 	switch p {
 	case 0:
 		t.m = t.items
-		t.tracker.orient(t.incident.degree)
+		t.tracker.orient(&t.incident)
 		// The sample itself is dead weight after the pairs are formed; only
 		// the tracker state rides into the closure passes. Its memory stays
 		// with the state for the next init.
@@ -313,12 +406,13 @@ func (t *ThreePassFourCycle) PairsTracked() int64 { return int64(len(t.tracker.p
 // exactly, while the surviving light pairs have C(d,2) capped by the
 // discovery threshold, so the inverse-β scaling cannot blow up.
 type NearOptFourCycle struct {
-	p, q    float64
-	estS    sampling.FixedProb
-	discS   sampling.FixedProb
-	incEst  adjacency
-	incDisc adjacency
-	tracker pairTracker
+	p, q     float64
+	estS     sampling.FixedProb
+	discS    sampling.FixedProb
+	vertices vertexIndex // shared by both samples and the tracker
+	incEst   adjacency
+	incDisc  adjacency
+	tracker  pairTracker
 
 	pass  int
 	items int64
@@ -360,9 +454,10 @@ func (n *NearOptFourCycle) init(p, q float64, seed uint64) error {
 		return err
 	}
 	n.p, n.q = p, q
+	n.vertices.reset()
 	n.incEst.reset()
 	n.incDisc.reset()
-	n.tracker.init(&n.meter)
+	n.tracker.init(&n.vertices, &n.meter)
 	n.pass, n.items, n.m = 0, 0, 0
 	n.meter = space.Meter{}
 	return nil
@@ -384,12 +479,17 @@ func (n *NearOptFourCycle) Edge(u, v graph.V) {
 	switch n.pass {
 	case 0:
 		n.items++
-		e := graph.Edge{U: u, V: v}.Norm()
-		if n.discS.Offer(u, v) {
-			n.addSampled(e, &n.incDisc, true)
+		disc, est := n.discS.Offer(u, v), n.estS.Offer(u, v)
+		if !disc && !est {
+			return
 		}
-		if n.estS.Offer(u, v) {
-			n.addSampled(e, &n.incEst, false)
+		e := graph.Edge{U: u, V: v}.Norm()
+		a, b := n.vertices.intern(e.U), n.vertices.intern(e.V)
+		if disc {
+			n.addSampled(a, b, &n.incDisc, true)
+		}
+		if est {
+			n.addSampled(a, b, &n.incEst, false)
 		}
 	case 1:
 		n.tracker.observe(u, v)
@@ -398,20 +498,21 @@ func (n *NearOptFourCycle) Edge(u, v graph.V) {
 	}
 }
 
-// addSampled registers the wedges e forms inside one of the two samples,
-// marking each touched pair with that sample's flag: disc for the
-// discovery sample, est for the estimation sample.
-func (n *NearOptFourCycle) addSampled(e graph.Edge, incident *adjacency, disc bool) {
-	for _, c := range [2]graph.V{e.U, e.V} {
-		other := e.V
-		if c == e.V {
-			other = e.U
+// addSampled registers the wedges the sampled edge {a, b} (vertex ids, a's
+// name the smaller) forms inside one of the two samples, marking each
+// touched pair with that sample's flag: disc for the discovery sample, est
+// for the estimation sample.
+func (n *NearOptFourCycle) addSampled(a, b int32, incident *adjacency, disc bool) {
+	for _, c := range [2]int32{a, b} {
+		other := b
+		if c == b {
+			other = a
 		}
 		for _, x := range incident.nbrs(c) {
-			if graph.V(x) == other {
+			if x == other {
 				continue
 			}
-			tp := n.tracker.pair(graph.V(x), other)
+			tp := n.tracker.pair(x, other)
 			if disc {
 				tp.disc = true
 			} else {
@@ -419,8 +520,8 @@ func (n *NearOptFourCycle) addSampled(e graph.Edge, incident *adjacency, disc bo
 			}
 		}
 	}
-	incident.add(e.U, e.V)
-	incident.add(e.V, e.U)
+	incident.add(a, b)
+	incident.add(b, a)
 	n.meter.Charge(space.WordsPerEdge)
 }
 
@@ -429,7 +530,7 @@ func (n *NearOptFourCycle) EndPass(p int) {
 	switch p {
 	case 0:
 		n.m = n.items
-		n.tracker.orient(func(v graph.V) int { return n.incDisc.degree(v) + n.incEst.degree(v) })
+		n.tracker.orient(&n.incDisc, &n.incEst)
 		n.meter.Release(int64(n.discS.Len()+n.estS.Len()) * space.WordsPerEdge)
 	case 1:
 		n.tracker.invert()

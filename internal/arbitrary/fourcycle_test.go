@@ -8,6 +8,7 @@ import (
 	"adjstream/internal/graph"
 	"adjstream/internal/plane"
 	"adjstream/internal/stats"
+	"adjstream/internal/stream"
 )
 
 // fourCycleFamilies returns the exact-kernel validation families: G(n,p),
@@ -199,11 +200,15 @@ func TestFourCycleSpaceGrowsWithP(t *testing.T) {
 }
 
 // TestFourCycleExactCodegree checks every tracked pair's co-degree against
-// the graph's |N(light) ∩ N(heavy)|, for both estimators, over several
-// graphs, seeds and rates. Pass three counts each edge from the smaller of
-// two sides, the heavy endpoint's pairs or the light vertices next to the
-// other endpoint; the test also checks that both sides were taken, so each
-// is pinned pair by pair rather than only through the estimate's sum.
+// the graph's common neighbours of its two vertex names, for both
+// estimators, over several graphs, seeds and rates, in the three orders the
+// estimators are served: a FromGraph shuffle, and the first-occurrence
+// edges of sorted and of random adjacency lists, where a list's owner recurs
+// over consecutive edges. Pass three counts an edge by reading marks, which
+// it either reuses from an earlier edge or rebuilds first; the test drives
+// pass three edge by edge and requires both, and a reuse in both list
+// orders, so each path is pinned pair by pair rather than only through the
+// estimate's sum.
 func TestFourCycleExactCodegree(t *testing.T) {
 	hub, err := gen.ChungLu(300, 2.1, 120, 4)
 	if err != nil {
@@ -211,36 +216,32 @@ func TestFourCycleExactCodegree(t *testing.T) {
 	}
 	graphs := fourCycleFamilies(t)
 	graphs["hub"] = hub
-	var fromPairs, fromLights int
+	reused, rebuilt := map[string]int{}, map[string]int{}
 	for name, g := range graphs {
-		for _, p := range []float64{0.2, 0.5, 1} {
-			s := FromGraph(g, 3)
-			for seed := uint64(1); seed <= 2; seed++ {
-				tp, err := NewThreePassFourCycle(p, seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				no, err := NewNearOptFourCycle(p, 0, seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for alg, tr := range map[Estimator]*pairTracker{tp: &tp.tracker, no: &no.tracker} {
-					Run(s, alg)
-					for _, pr := range tr.pairs {
-						if want := int64(g.CommonNeighbors(pr.light, pr.heavy)); pr.codeg != want {
-							t.Fatalf("%s p=%v seed %d %T: pair {%d,%d} codeg %d, want %d",
-								name, p, seed, alg, pr.light, pr.heavy, pr.codeg, want)
-						}
+		orders := map[string]*Stream{
+			"shuffled": FromGraph(g, 3),
+			"sorted":   FromAdjacencyStream(stream.Sorted(g)),
+			"random":   FromAdjacencyStream(stream.Random(g, 3)),
+		}
+		for order, s := range orders {
+			for _, p := range []float64{0.2, 0.5, 1} {
+				for seed := uint64(1); seed <= 2; seed++ {
+					tp, err := NewThreePassFourCycle(p, seed)
+					if err != nil {
+						t.Fatal(err)
 					}
-					for _, e := range s.Edges() {
-						for _, ch := range [2][2]graph.V{{e.U, e.V}, {e.V, e.U}} {
-							ids, lights := tr.byHeavy.row(ch[1]), tr.nbrOf.row(ch[0])
-							switch {
-							case len(ids) == 0 || len(lights) == 0:
-							case len(ids) <= len(lights):
-								fromPairs++
-							default:
-								fromLights++
+					no, err := NewNearOptFourCycle(p, 0, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for alg, tr := range map[Estimator]*pairTracker{tp: &tp.tracker, no: &no.tracker} {
+						r, b := runCountingMarks(s, alg, tr)
+						reused[order] += r
+						rebuilt[order] += b
+						for _, pr := range namedPairs(tr) {
+							if want := int64(g.CommonNeighbors(pr.Light, pr.Heavy)); pr.Codeg != want {
+								t.Fatalf("%s %s p=%v seed %d %T: pair {%d,%d} codeg %d, want %d",
+									name, order, p, seed, alg, pr.Light, pr.Heavy, pr.Codeg, want)
 							}
 						}
 					}
@@ -248,9 +249,61 @@ func TestFourCycleExactCodegree(t *testing.T) {
 			}
 		}
 	}
-	if fromPairs == 0 || fromLights == 0 {
-		t.Fatalf("pass three probed from the heavy endpoint's pairs %d times and from the light vertices %d times; want both", fromPairs, fromLights)
+	total := func(m map[string]int) int { return m["shuffled"] + m["sorted"] + m["random"] }
+	if total(reused) == 0 || total(rebuilt) == 0 || reused["sorted"] == 0 || reused["random"] == 0 {
+		t.Fatalf("pass three reused marks on %v edges and rebuilt them on %v; want both, and reuses in both list orders", reused, rebuilt)
 	}
+}
+
+// runCountingMarks runs alg over s, driving pass three one edge at a time,
+// and returns how many of those edges rebuilt a mark of tr first, and how
+// many read marks an earlier edge left without rebuilding one.
+func runCountingMarks(s *Stream, alg Estimator, tr *pairTracker) (reused, rebuilt int) {
+	for p := 0; p < 2; p++ {
+		alg.StartPass(p)
+		for _, e := range s.Edges() {
+			alg.Edge(e.U, e.V)
+		}
+		alg.EndPass(p)
+	}
+	alg.StartPass(2)
+	for _, e := range s.Edges() {
+		c, h := tr.markedC, tr.markedH
+		alg.Edge(e.U, e.V)
+		if tr.markedC != c || tr.markedH != h {
+			rebuilt++
+			continue
+		}
+		u, uok := tr.vertices.id(e.U)
+		v, vok := tr.vertices.id(e.V)
+		if !uok || !vok {
+			continue
+		}
+		for _, ch := range [2][2]int32{{u, v}, {v, u}} {
+			if len(tr.byHeavy.row(ch[1])) > 0 && len(tr.nbrOf.row(ch[0])) > 0 {
+				reused++
+				break
+			}
+		}
+	}
+	alg.EndPass(2)
+	return reused, rebuilt
+}
+
+// namedPair is a tracked pair with its endpoints by vertex name.
+type namedPair struct {
+	Light, Heavy  graph.V
+	Codeg, Weight int64
+	Disc, Est     bool
+}
+
+// namedPairs returns tr's pairs in creation order, by vertex name.
+func namedPairs(tr *pairTracker) []namedPair {
+	out := make([]namedPair, len(tr.pairs))
+	for i, pr := range tr.pairs {
+		out[i] = namedPair{tr.vertices.names[pr.light], tr.vertices.names[pr.heavy], pr.codeg, pr.weight, pr.disc, pr.est}
+	}
+	return out
 }
 
 // The pending-set orientation stores each tracked pair's neighbor set on
@@ -274,9 +327,9 @@ func TestFourCyclePendingOnLightSide(t *testing.T) {
 		t.Fatal(err)
 	}
 	Run(s, alg)
-	for _, tp := range alg.tracker.pairs {
-		if tp.light == hub {
-			t.Fatalf("pair {%d,%d}: hub oriented light (pending set on the star center)", tp.light, tp.heavy)
+	for _, tp := range namedPairs(&alg.tracker) {
+		if tp.Light == hub {
+			t.Fatalf("pair {%d,%d}: hub oriented light (pending set on the star center)", tp.Light, tp.Heavy)
 		}
 	}
 	// One 4-cycle: hub–1–41–2–hub.

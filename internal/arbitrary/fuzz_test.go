@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"adjstream/internal/graph"
+	"adjstream/internal/stream"
 )
 
 // modelEdges is the arbstream text format decoded by a map-based model of
@@ -95,6 +96,73 @@ func FuzzReadEdges(f *testing.F) {
 		}
 		if !slices.Equal(back.Edges(), s.Edges()) {
 			t.Fatalf("round trip changed the edges: %v, want %v", back.Edges(), s.Edges())
+		}
+	})
+}
+
+// FuzzFourCycleCodegree is the differential target for the 4-cycle
+// estimators' closure passes. It decodes a small simple graph on up to 16
+// vertices, whose names are spread over [0, graph.MaxV] so that name order
+// and id order differ, and an order: sorted lists, random lists or
+// shuffled edges, each through the public constructors. It runs both
+// estimators at the fuzzed rate and at p = 1, recycling each copy so that
+// later inputs run on spent states. Every tracked pair's co-degree must
+// equal graph.CommonNeighbors of its two names, and at p = 1, where every
+// wedge is tracked, the estimate must equal graph.FourCycles.
+func FuzzFourCycleCodegree(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 1, 2, 2, 3, 3, 0}, uint64(1), uint8(49))
+	f.Add([]byte{1, 0, 1, 0, 2, 0, 3, 1, 4, 2, 4, 3, 4, 5, 1, 5, 2}, uint64(7), uint8(99))
+	f.Add([]byte{2, 0, 1, 1, 2, 2, 3, 3, 0, 0, 2, 1, 3, 4, 0, 4, 2}, uint64(3), uint8(19))
+	f.Add([]byte{0, 0, 15, 15, 1, 1, 14, 14, 0, 0, 1, 15, 14}, uint64(2), uint8(0))
+	f.Add([]byte{}, uint64(0), uint8(0))
+	name := func(b byte) graph.V { return graph.V(uint32(b%16) * 2654435761) }
+	f.Fuzz(func(t *testing.T, data []byte, seed uint64, rate uint8) {
+		if len(data) == 0 {
+			return
+		}
+		b := graph.NewBuilder()
+		for i := 1; i+1 < len(data) && i < 161; i += 2 {
+			b.AddIfAbsent(name(data[i]), name(data[i+1]))
+		}
+		g := b.Graph()
+		orders := [...]string{"sorted lists", "random lists", "shuffled edges"}
+		order := orders[data[0]%3]
+		var s *Stream
+		switch order {
+		case "sorted lists":
+			s = FromAdjacencyStream(stream.Sorted(g))
+		case "random lists":
+			s = FromAdjacencyStream(stream.Random(g, seed))
+		default:
+			s = FromGraph(g, seed)
+		}
+		for _, p := range []float64{float64(rate%100+1) / 100, 1} {
+			tp, err := NewThreePassFourCycle(p, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			no, err := NewNearOptFourCycle(p, 0, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct {
+				alg interface {
+					Estimator
+					Recycle()
+				}
+				tr *pairTracker
+			}{{tp, &tp.tracker}, {no, &no.tracker}} {
+				Run(s, c.alg)
+				for _, pr := range namedPairs(c.tr) {
+					if want := int64(g.CommonNeighbors(pr.Light, pr.Heavy)); pr.Codeg != want {
+						t.Fatalf("%s, p=%v, %T: pair {%d,%d} codeg %d, want %d", order, p, c.alg, pr.Light, pr.Heavy, pr.Codeg, want)
+					}
+				}
+				if want := float64(g.FourCycles()); p == 1 && c.alg.Estimate() != want {
+					t.Fatalf("%s, p=1, %T: estimate %v, want %v", order, c.alg, c.alg.Estimate(), want)
+				}
+				c.alg.Recycle()
+			}
 		}
 	})
 }

@@ -69,37 +69,55 @@ func stateOf(e Estimator) copyState {
 	case *BuriolSampler:
 		cs.M, cs.Detail = a.M(), append([]buriolInstance(nil), a.inst...)
 	case *ThreePassFourCycle:
-		cs.M, cs.Pairs, cs.Detail = a.M(), a.PairsTracked(), append([]trackedPair(nil), a.tracker.pairs...)
+		cs.M, cs.Pairs, cs.Detail = a.M(), a.PairsTracked(), namedPairs(&a.tracker)
 	case *NearOptFourCycle:
-		cs.M, cs.Pairs, cs.Detail = a.M(), a.PairsTracked(), append([]trackedPair(nil), a.tracker.pairs...)
+		cs.M, cs.Pairs, cs.Detail = a.M(), a.PairsTracked(), namedPairs(&a.tracker)
 	}
 	return cs
 }
 
-// runPartly runs a's first pass and half of its second over s, leaving a
-// state no completed run leaves.
-func runPartly(s *Stream, a Estimator) {
-	a.StartPass(0)
-	for _, e := range s.Edges() {
-		a.Edge(e.U, e.V)
-	}
-	a.EndPass(0)
-	if a.Passes() > 1 {
-		a.StartPass(1)
-		for _, e := range s.Edges()[:s.M()/2] {
+// runPartly runs a's passes before pass and half of pass itself over s,
+// as far as a has them, leaving a state no completed run leaves.
+func runPartly(s *Stream, a Estimator, pass int) {
+	for p := 0; p <= pass && p < a.Passes(); p++ {
+		a.StartPass(p)
+		edges := s.Edges()
+		if p == pass {
+			edges = edges[:s.M()/2]
+		}
+		for _, e := range edges {
 			a.Edge(e.U, e.V)
 		}
+		if p < pass {
+			a.EndPass(p)
+		}
 	}
+}
+
+// idsOf returns how many vertex ids e's state gives out, or −1 for an
+// estimator that keeps none.
+func idsOf(e Estimator) int {
+	switch a := e.(type) {
+	case *TwoPassWedge:
+		return a.vertices.len()
+	case *ThreePassFourCycle:
+		return a.vertices.len()
+	case *NearOptFourCycle:
+		return a.vertices.len()
+	}
+	return -1
 }
 
 // TestRecycledArbitraryCopiesMatchFresh inits each arbitrary-order
 // estimator on a state spent under another p, q, instance count, universe
 // and seed, over a larger graph of another kind (and on a state left in the
-// middle of a pass, and on one spent by the same configuration), and
-// requires what a zero-state copy reports: the estimate bits, the space
-// words, m, PairsTracked and every tracked pair's endpoints, co-degree,
-// weight and disc/est flags (every sampler instance for Buriol's). A field
-// init forgets to reset shows up here.
+// middle of pass two or of pass three, where the marks live, on one spent
+// by the same configuration over a graph that gives out more vertex ids,
+// and on one spent by the same configuration on the target), and requires
+// what a zero-state copy reports: the estimate bits, the space words, m,
+// PairsTracked and every tracked pair's endpoint names, co-degree, weight
+// and disc/est flags (every sampler instance for Buriol's). A field init
+// forgets to reset shows up here.
 func TestRecycledArbitraryCopiesMatchFresh(t *testing.T) {
 	small, err := gen.ErdosRenyi(80, 0.15, 3)
 	if err != nil {
@@ -121,7 +139,7 @@ func TestRecycledArbitraryCopiesMatchFresh(t *testing.T) {
 			if want.M != target.M() {
 				t.Fatalf("fresh copy measured m = %d, want %d", want.M, target.M())
 			}
-			if _, ok := want.Detail.([]trackedPair); ok && want.Pairs == 0 {
+			if _, ok := want.Detail.([]namedPair); ok && want.Pairs == 0 {
 				t.Fatal("fresh copy tracked no pairs: the comparison is vacuous")
 			}
 			spenders := map[string]func(e Estimator) error{
@@ -132,11 +150,28 @@ func TestRecycledArbitraryCopiesMatchFresh(t *testing.T) {
 					Run(spent, e)
 					return nil
 				},
-				"abandoned mid-pass": func(e Estimator) error {
+				"abandoned in pass two": func(e Estimator) error {
 					if err := c.spend(e); err != nil {
 						return err
 					}
-					runPartly(spent, e)
+					runPartly(spent, e, 1)
+					return nil
+				},
+				"abandoned in pass three": func(e Estimator) error {
+					if err := c.spend(e); err != nil {
+						return err
+					}
+					runPartly(spent, e, 2)
+					return nil
+				},
+				"more vertex ids": func(e Estimator) error {
+					if err := c.target(e); err != nil {
+						return err
+					}
+					Run(spent, e)
+					if idsOf(e) >= 0 && idsOf(e) <= idsOf(fresh) {
+						t.Fatalf("the spent state gave out %d vertex ids, the target's %d: want more", idsOf(e), idsOf(fresh))
+					}
 					return nil
 				},
 				"same config twice": func(e Estimator) error {

@@ -35,6 +35,11 @@ type Stream struct {
 	// first Items() call.
 	items     []Item
 	itemsOnce sync.Once
+
+	// first is the arbitrary-order form, built on first use; see
+	// FirstOccurrences.
+	first     *EdgeStream
+	firstOnce sync.Once
 }
 
 // newStream wraps already-validated items, building the columnar form.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"adjstream/internal/gen"
@@ -139,6 +140,53 @@ func TestNewArbitraryStreamMatchesSeenSetScan(t *testing.T) {
 		got := NewArbitraryStream(s).Edges()
 		if !slices.Equal(got, want) {
 			t.Fatalf("seed %d: first-occurrence edges differ from the seen-set scan (%d vs %d edges)", seed, len(got), len(want))
+		}
+	}
+}
+
+// A stream converts to the arbitrary order once: every later conversion
+// returns the same ArbitraryStream and allocates nothing.
+func TestNewArbitraryStreamConvertsOnce(t *testing.T) {
+	g, err := gen.ChungLu(300, 2.2, 60, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := RandomStream(g, 1)
+	first := NewArbitraryStream(s)
+	var again *ArbitraryStream
+	if allocs := testing.AllocsPerRun(10, func() { again = NewArbitraryStream(s) }); allocs != 0 {
+		t.Fatalf("a second conversion made %v allocations, want 0", allocs)
+	}
+	if again != first {
+		t.Fatal("a second conversion returned another ArbitraryStream")
+	}
+	if first.N() != int64(g.N()) || first.M() != g.M() {
+		t.Fatalf("N, M = %d, %d, want %d, %d", first.N(), first.M(), g.N(), g.M())
+	}
+}
+
+// Concurrent first conversions of one stream all return the same edges:
+// one conversion runs, and the others wait for it.
+func TestNewArbitraryStreamConcurrentFirstConversions(t *testing.T) {
+	g, err := gen.ChungLu(300, 2.2, 60, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := NewArbitraryStream(RandomStream(g, 2)).Edges()
+	s := RandomStream(g, 2)
+	got := make([]*ArbitraryStream, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = NewArbitraryStream(s)
+		}()
+	}
+	wg.Wait()
+	for i, as := range got {
+		if as != got[0] || !slices.Equal(as.Edges(), want) {
+			t.Fatalf("conversion %d returned other edges than the sequential one", i)
 		}
 	}
 }
